@@ -9,12 +9,13 @@ from .data import (CenteringTransform, Dataset, FittedReducer, IngestError,
                    PVStep, SppcaState, center_dataset, fit_centering,
                    load_csv, reduce, reducer_from_json, reducer_to_json)
 from .intrinsic import (LspcaOptions, LspcaSolution, SppcaOptions,
-                        fit_barshan, fit_barshan_extended, fit_lspca,
-                        fit_pls, fit_pls_extended, fit_sppca, predict_sppca)
+                        fit_barshan_extended, fit_lspca, fit_pls_extended,
+                        fit_sppca, predict_sppca)
 from .linalg import (DegenerateDirectionError, EigenPairs,
                      IterationLimitError, RankDeficientError, orthonormalize,
                      stiefel_step, sym_eig_topk)
-from .methods import DEFAULT_GAMMA_GRID, DEFAULT_METHODS, MethodFit, fit_method
+from .methods import (DEFAULT_GAMMA_GRID, DEFAULT_METHODS, METHODS, Method,
+                      MethodFit, fit_method)
 from .regression import RegressionModel, mse, ols_fit
 from .simulation import (BenchConfig, BenchReport, SpectrumSpec, SweepConfig,
                          TrialSpec, gamma_sweep, generate_trial,

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .data import IngestError
-from .methods import DEFAULT_GAMMA_GRID, DEFAULT_METHODS
+from .methods import DEFAULT_GAMMA_GRID, DEFAULT_METHODS, METHODS
 from .realdata import (RealDataConfig, curves_to_csv, result_to_json,
                        run_real_data, spectrum_to_csv)
 from .simulation import (ALIGNMENT_KINDS, DEFAULT_SWEEP_GRID, SPECTRUM_KINDS,
@@ -137,10 +137,10 @@ def _parse_methods(raw) -> tuple:
     names = [n for n in names if n]
     if not names:
         raise ConfigError("method list is empty")
-    unknown = [n for n in names if n not in DEFAULT_METHODS]
+    unknown = [n for n in names if n not in METHODS]
     if unknown:
         raise ConfigError(f"unknown methods {unknown}; "
-                          f"choose from {', '.join(DEFAULT_METHODS)}")
+                          f"choose from {', '.join(METHODS)}")
     return tuple(names)
 
 

@@ -9,19 +9,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Recognized method tags for fitted reducers.
-METHOD_TAGS = ("pca", "bair", "pv", "pcps", "pls", "pls_ext",
-               "barshan", "barshan_ext", "lspca", "sppca")
-
-#: Tags whose state is a single P x K orthonormal basis.
-BASIS_TAGS = ("pca", "bair", "pcps", "pls", "pls_ext",
-              "barshan", "barshan_ext", "lspca")
+#: Method tag of every fitted reducer -> the state field it populates.
+STATE_KINDS = {"pca": "basis", "bair": "basis", "pv": "pv_state",
+               "pcps": "basis", "pls": "basis", "barshan": "basis",
+               "lspca": "basis", "sppca": "sppca_state"}
 
 ORTHONORMAL_TOL = 1e-8
 
 
 class IngestError(ValueError):
-    """CSV ingestion failure with 1-based data-row and column coordinates."""
+    """A CSV that cannot be read, or is too small to split, with 1-based
+    data-row and column coordinates where they apply."""
 
     def __init__(self, message: str, row: int | None = None, column: str | None = None):
         super().__init__(message)
@@ -173,7 +171,8 @@ class FittedReducer:
     hyperparams: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.method not in METHOD_TAGS:
+        kind = STATE_KINDS.get(self.method)
+        if kind is None:
             raise ValueError(f"unknown method tag {self.method!r}")
         if self.k < 1:
             raise ValueError("K must be >= 1")
@@ -181,9 +180,9 @@ class FittedReducer:
                   self.sppca_state is not None]
         if sum(states) != 1:
             raise ValueError("exactly one state variant must be populated")
-        if self.method in BASIS_TAGS:
-            if self.basis is None:
-                raise ValueError(f"{self.method} requires a basis")
+        if getattr(self, kind) is None:
+            raise ValueError(f"{self.method} requires {kind}")
+        if kind == "basis":
             self.basis = np.asarray(self.basis, dtype=float)
             p, k = self.basis.shape
             if k != self.k:
@@ -194,16 +193,11 @@ class FittedReducer:
             err = np.linalg.norm(gram - np.eye(k))
             if err > ORTHONORMAL_TOL:
                 raise ValueError(f"basis is not orthonormal: ||U^T U - I|| = {err:.3e}")
-        elif self.method == "pv":
-            if not self.pv_state:
-                raise ValueError("pv requires pv_state")
+        elif kind == "pv_state":
             if len(self.pv_state) != self.k:
                 raise ValueError("pv_state length must equal K")
-        elif self.method == "sppca":
-            if self.sppca_state is None:
-                raise ValueError("sppca requires sppca_state")
-            if self.sppca_state.loadings.shape[1] != self.k:
-                raise ValueError("loadings width must equal K")
+        elif self.sppca_state.loadings.shape[1] != self.k:
+            raise ValueError("loadings width must equal K")
 
     @property
     def p(self) -> int:
@@ -240,19 +234,23 @@ def reduce(reducer: FittedReducer, x_new: np.ndarray) -> np.ndarray:
 # row-major as nested arrays; floats round-trip exactly (repr serialization).
 # ---------------------------------------------------------------------------
 
-def _encode_value(v):
+def json_safe(v):
+    """Plain-JSON form of a hyperparameter value.
+
+    numpy arrays and scalars become lists and Python scalars, tuples become
+    lists, and +/-inf become the strings "inf"/"-inf", which
+    reducer_from_json decodes back.
+    """
     if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        v = float(v)
+        v = v.tolist()
+    elif isinstance(v, np.generic):
+        v = v.item()
+    if isinstance(v, dict):
+        return {key: json_safe(val) for key, val in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [json_safe(item) for item in v]
     if isinstance(v, float) and math.isinf(v):
         return "inf" if v > 0 else "-inf"
-    if isinstance(v, dict):
-        return {key: _encode_value(val) for key, val in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_encode_value(item) for item in v]
     return v
 
 
@@ -285,7 +283,7 @@ def reducer_to_json(reducer: FittedReducer) -> str:
                               "v": st.response_loadings.tolist(),
                               "sigma_x": st.sigma_x,
                               "sigma_y": st.sigma_y}
-    doc["hyperparams"] = _encode_value(reducer.hyperparams)
+    doc["hyperparams"] = json_safe(reducer.hyperparams)
     return json.dumps(doc)
 
 

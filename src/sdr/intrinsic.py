@@ -1,7 +1,7 @@
 """Methods whose objective embeds the response directly: partial least
-squares and its variance-balanced extension, covariance-maximizing projection
-(Barshan) and its extension, least-squares PCA on the Stiefel manifold, and
-the supervised probabilistic latent-factor model fitted by EM.
+squares and covariance-maximizing projection (Barshan), each balanced by a
+variance term, least-squares PCA on the Stiefel manifold, and the supervised
+probabilistic latent-factor model fitted by EM.
 
 All fits expect centered data.  gamma = 0 is the fully supervised end of the
 balanced objectives; gamma = math.inf reproduces classic PCA.
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, FittedReducer, SppcaState
+from .data import Dataset, FittedReducer, SppcaState, reduce
 from .linalg import (DegenerateDirectionError, fix_signs, orthonormalize,
                      stiefel_step, sym_eig_topk)
 
@@ -79,28 +79,14 @@ def _deflate(xk: np.ndarray, yk: np.ndarray, u: np.ndarray,
     return x_next, y_next
 
 
-def fit_pls(data: Dataset, k: int) -> FittedReducer:
-    """Iterative covariance-maximizing directions with X and y deflation.
-
-    Each direction solves max_(|u|=1) ((X u)^T y)^2, whose closed form is the
-    normalized X^T y; X is deflated by the score outer product and y by its
-    projection onto the score.
-    """
-    x, y = data.X, data.y
-    if k > data.p:
-        raise ValueError(f"K={k} exceeds P={data.p}")
-    xk, yk = x.copy(), y.copy()
-    cols = []
-    for it in range(1, k + 1):
-        u = _supervised_direction(xk, yk, it)
-        cols.append(u)
-        xk, yk = _deflate(xk, yk, u, it)
-    return FittedReducer("pls", k, basis=np.column_stack(cols))
-
-
 def fit_pls_extended(data: Dataset, k: int, gamma: float) -> FittedReducer:
-    """PLS with a variance term: per iteration the direction is the top
-    eigenvector of X^T (y y^T + gamma I) X; deflation is unchanged.
+    """Iterative PLS directions with X and y deflation, balanced by a
+    variance term.
+
+    Each direction is the top eigenvector of X^T (y y^T + gamma I) X; X is
+    deflated by the score outer product and y by its projection onto the
+    score.  gamma = 0 is classic PLS: the direction solves
+    max_(|u|=1) ((X u)^T y)^2, whose closed form is the normalized X^T y.
     """
     gamma = _check_gamma(gamma)
     x, y = data.X, data.y
@@ -124,33 +110,16 @@ def fit_pls_extended(data: Dataset, k: int, gamma: float) -> FittedReducer:
             u = pairs.vectors[:, 0]
         cols.append(u)
         xk, yk = _deflate(xk, yk, u, it)
-    return FittedReducer("pls_ext", k, basis=np.column_stack(cols),
+    return FittedReducer("pls", k, basis=np.column_stack(cols),
                          hyperparams={"gamma": gamma})
-
-
-def fit_barshan(data: Dataset, k: int) -> FittedReducer:
-    """Top-K eigenvectors of X^T y y^T X.
-
-    The matrix has rank 1, so for K > 1 the trailing directions are completed
-    deterministically with the leading variance directions orthogonal to the
-    first (flagged in hyperparams).
-    """
-    x, y = data.X, data.y
-    if k > data.p:
-        raise ValueError(f"K={k} exceeds P={data.p}")
-    w = x.T @ y
-    scale = np.linalg.norm(x) * np.linalg.norm(y)
-    if np.linalg.norm(w) <= _W_TOL * max(scale, 1e-300):
-        raise DegenerateDirectionError(1, "X^T y vanishes")
-    basis = _rank1_completed_basis(w, x.T @ x, k)
-    return FittedReducer("barshan", k, basis=basis,
-                         hyperparams={"degenerate_completion": k > 1})
 
 
 def fit_barshan_extended(data: Dataset, k: int, gamma: float) -> FittedReducer:
     """Top-K eigenvectors of X^T (y y^T + gamma I) X.
 
-    gamma = 0 falls back to the rank-1 problem with deterministic completion;
+    gamma = 0 is the rank-1 problem X^T y y^T X: for K > 1 the trailing
+    directions are completed deterministically with the leading variance
+    directions orthogonal to the first (flagged in hyperparams).
     gamma = inf is the classic PCA basis.  On whitened data (X^T X = I) the
     trailing eigenvalues all tie, so the same deterministic completion is
     applied to keep the learned subspace reproducible.
@@ -163,17 +132,18 @@ def fit_barshan_extended(data: Dataset, k: int, gamma: float) -> FittedReducer:
     hyper = {"gamma": gamma}
     if math.isinf(gamma):
         basis = _pca_basis(cov, k)
-    elif gamma == 0.0:
-        basis = fit_barshan(data, k).basis
-        hyper["degenerate_completion"] = k > 1
     else:
         w = x.T @ y
-        if _is_isotropic(cov) and np.linalg.norm(w) > 0:
+        if gamma == 0.0:
+            scale = np.linalg.norm(x) * np.linalg.norm(y)
+            if np.linalg.norm(w) <= _W_TOL * max(scale, 1e-300):
+                raise DegenerateDirectionError(1, "X^T y vanishes")
+        if gamma == 0.0 or (_is_isotropic(cov) and np.linalg.norm(w) > 0):
             basis = _rank1_completed_basis(w, cov, k)
             hyper["degenerate_completion"] = k > 1
         else:
             basis = sym_eig_topk(np.outer(w, w) + gamma * cov, k).vectors
-    return FittedReducer("barshan_ext", k, basis=basis, hyperparams=hyper)
+    return FittedReducer("barshan", k, basis=basis, hyperparams=hyper)
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +373,4 @@ def predict_sppca(reducer: FittedReducer, x_new: np.ndarray,
     """Model-native prediction: posterior latent mean from x, then v^T z."""
     if reducer.method != "sppca":
         raise ValueError(f"expected an sppca reducer, got {reducer.method!r}")
-    st = reducer.sppca_state
-    x = np.asarray(x_new, dtype=float)
-    u = st.loadings
-    gram = u.T @ u + st.sigma_x ** 2 * np.eye(reducer.k)
-    z = np.linalg.solve(gram, u.T @ x.T).T
-    return z @ st.response_loadings + y_mean
+    return reduce(reducer, x_new) @ reducer.sppca_state.response_loadings + y_mean

@@ -1,31 +1,54 @@
-"""Uniform fit/predict pipeline over all benchmark methods.
+"""The method registry and the uniform fit pipeline over it.
 
-Each method fits on a centered training split; the balance hyperparameter of
-the gamma-bearing methods is chosen by validation MSE over a log grid.
+``METHODS`` is the one place a benchmark method is named: each entry says how
+to fit the method's reducer on a centered training split and where its
+balance hyperparameter gamma may range.  Methods with a gamma domain choose
+gamma by validation MSE over a log grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .data import Dataset, FittedReducer, reduce
-from .intrinsic import (LspcaOptions, SppcaOptions, fit_barshan_extended,
-                        fit_lspca, fit_pls_extended, fit_sppca)
+from .data import Dataset, FittedReducer, json_safe, reduce
+from .intrinsic import (fit_barshan_extended, fit_lspca, fit_pls_extended,
+                        fit_sppca)
 from .regression import RegressionModel, mse, ols_fit
 from .wrappers import fit_bair, fit_pcps, fit_pv
-
-#: Benchmark roster: the raw-feature baseline, classic PCA, and the
-#: supervised reducers (PLS and Barshan run as their balanced versions).
-DEFAULT_METHODS = ("ols", "pca", "bair", "pv", "pcps",
-                   "pls", "barshan", "lspca", "sppca")
 
 #: Validation grid for the balance hyperparameter.
 DEFAULT_GAMMA_GRID = (0.0,) + tuple(np.logspace(-4.0, 4.0, 15)) + (math.inf,)
 
-GAMMA_METHODS = ("pls", "barshan", "lspca")
+#: gamma domains: the balanced eigenproblems accept gamma = 0 (fully
+#: supervised); LSPCA's reconstruction weight must be positive.
+GAMMA_NONNEGATIVE = "[0, inf]"
+GAMMA_POSITIVE = "(0, inf]"
+
+
+@dataclass(frozen=True)
+class Method:
+    """One registry entry.
+
+    ``fit(train, k, gamma, **opts)`` returns the fitted reducer, or None for
+    the raw-feature baseline; the ``score`` option reaches the methods that
+    rank variables.  ``gamma`` is the gamma domain, or None for a method
+    without gamma (its fit ignores the argument).
+    """
+
+    fit: Callable[..., FittedReducer | None]
+    gamma: str | None = None
+
+    def tuning_grid(self, grid) -> list:
+        """The grid points inside the domain.  gamma = 0 is dropped from an
+        open domain; other out-of-domain values are left for the fit to
+        reject."""
+        if self.gamma == GAMMA_POSITIVE:
+            return [g for g in grid if g > 0]
+        return list(grid)
 
 
 def pca_reducer(data: Dataset, k: int) -> FittedReducer:
@@ -33,6 +56,28 @@ def pca_reducer(data: Dataset, k: int) -> FittedReducer:
     if k > data.p:
         raise ValueError(f"K={k} exceeds P={data.p}")
     return FittedReducer("pca", k, basis=sym_eig_topk(data.X.T @ data.X, k).vectors)
+
+
+# Entries call the fit functions through this module's globals at call time,
+# so a function rebound here (e.g. by a tracer) is the one that runs.
+METHODS = {
+    "ols": Method(lambda d, k, g, **opts: None),
+    "pca": Method(lambda d, k, g, **opts: pca_reducer(d, k)),
+    "bair": Method(lambda d, k, g, **opts: fit_bair(d, k, **opts)),
+    "pv": Method(lambda d, k, g, **opts: fit_pv(d, k, **opts)),
+    "pcps": Method(lambda d, k, g, **opts: fit_pcps(d, k, **opts)),
+    "pls": Method(lambda d, k, g, **opts: fit_pls_extended(d, k, g),
+                  GAMMA_NONNEGATIVE),
+    "barshan": Method(lambda d, k, g, **opts: fit_barshan_extended(d, k, g),
+                      GAMMA_NONNEGATIVE),
+    "lspca": Method(lambda d, k, g, **opts: fit_lspca(d, k, g)[0],
+                    GAMMA_POSITIVE),
+    "sppca": Method(lambda d, k, g, **opts: fit_sppca(d, k)),
+}
+
+#: Benchmark roster in report row order: the raw-feature baseline, classic
+#: PCA, and the supervised reducers (PLS and Barshan run balanced).
+DEFAULT_METHODS = tuple(METHODS)
 
 
 @dataclass
@@ -52,26 +97,27 @@ class MethodFit:
         return mse(self.predict(data.X), data.y)
 
 
-def with_model(method: str, reducer: FittedReducer, train: Dataset,
-                extra: dict | None = None) -> MethodFit:
-    z = reduce(reducer, train.X)
-    model = ols_fit(z, train.y)
-    hyper = dict(reducer.hyperparams)
-    if extra:
-        hyper.update(extra)
-    return MethodFit(method=method, reducer=reducer, model=model, hyperparams=hyper)
+def with_model(method: str, reducer: FittedReducer | None,
+               train: Dataset) -> MethodFit:
+    """Fit the downstream least-squares model on the reduced training set."""
+    z = train.X if reducer is None else reduce(reducer, train.X)
+    hyper = {} if reducer is None else dict(reducer.hyperparams)
+    return MethodFit(method, reducer, ols_fit(z, train.y), hyper)
 
 
-def _tune_gamma(fitter, method: str, train: Dataset, val: Dataset,
-                grid) -> MethodFit:
+def _tune_gamma(name: str, entry: Method, train: Dataset, val: Dataset | None,
+                k: int, grid) -> MethodFit:
     if val is None:
-        raise ValueError(f"{method} needs a validation split to choose gamma")
+        raise ValueError(f"{name} needs a validation split to choose gamma")
     best = None
-    for gamma in grid:
-        fit = with_model(method, fitter(gamma), train)
+    for gamma in entry.tuning_grid(grid):
+        fit = with_model(name, entry.fit(train, k, gamma), train)
         val_mse = fit.evaluate(val)
-        if best is None or val_mse < best[0]:
+        if math.isfinite(val_mse) and (best is None or val_mse < best[0]):
             best = (val_mse, gamma, fit)
+    if best is None:
+        raise ValueError(f"{name}: no gamma in the grid gives a finite "
+                         "validation MSE")
     val_mse, gamma, fit = best
     fit.hyperparams.update({"gamma": gamma, "val_mse": val_mse})
     return fit
@@ -79,35 +125,27 @@ def _tune_gamma(fitter, method: str, train: Dataset, val: Dataset,
 
 def fit_method(name: str, train: Dataset, val: Dataset | None, k: int, *,
                score: str = "pearson",
-               gamma_grid=DEFAULT_GAMMA_GRID,
-               lspca_opts: LspcaOptions | None = None,
-               sppca_opts: SppcaOptions | None = None) -> MethodFit:
-    """Fit one benchmark method on centered data.
+               gamma_grid=DEFAULT_GAMMA_GRID) -> MethodFit:
+    """Fit one registered method on centered data.
 
     ``train`` and ``val`` must share the centering transform.  ``val`` is
-    only consulted by the gamma-bearing methods.
+    only consulted by the methods with a gamma domain.
     """
-    if name == "ols":
-        model = ols_fit(train.X, train.y)
-        return MethodFit("ols", None, model, {})
-    if name == "pca":
-        return with_model("pca", pca_reducer(train, k), train)
-    if name == "bair":
-        return with_model("bair", fit_bair(train, k, score=score), train)
-    if name == "pv":
-        return with_model("pv", fit_pv(train, k, score=score), train)
-    if name == "pcps":
-        return with_model("pcps", fit_pcps(train, k, score=score), train)
-    if name == "pls":
-        return _tune_gamma(lambda g: fit_pls_extended(train, k, g),
-                           "pls", train, val, gamma_grid)
-    if name == "barshan":
-        return _tune_gamma(lambda g: fit_barshan_extended(train, k, g),
-                           "barshan", train, val, gamma_grid)
-    if name == "lspca":
-        grid = [g for g in gamma_grid if g > 0]  # reconstruction weight must be positive
-        return _tune_gamma(lambda g: fit_lspca(train, k, g, lspca_opts)[0],
-                           "lspca", train, val, grid)
-    if name == "sppca":
-        return with_model("sppca", fit_sppca(train, k, sppca_opts), train)
-    raise ValueError(f"unknown method {name!r}")
+    entry = METHODS.get(name)
+    if entry is None:
+        raise ValueError(f"unknown method {name!r}")
+    if entry.gamma is not None:
+        return _tune_gamma(name, entry, train, val, k, gamma_grid)
+    return with_model(name, entry.fit(train, k, None, score=score), train)
+
+
+def attempt_fit(fit: Callable[[], MethodFit], train: Dataset,
+                test: Dataset) -> tuple:
+    """Run ``fit()`` and score it: (train MSE, test MSE, JSON-safe
+    hyperparams, None), or (None, None, {}, error text) if it raised."""
+    try:
+        result = fit()
+        return (result.evaluate(train), result.evaluate(test),
+                json_safe(result.hyperparams), None)
+    except Exception as exc:
+        return None, None, {}, f"{type(exc).__name__}: {exc}"

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, fit_centering, reduce
-from .intrinsic import fit_barshan, fit_barshan_extended, fit_lspca, fit_pls, fit_sppca, predict_sppca
+from .intrinsic import (fit_barshan_extended, fit_lspca, fit_pls_extended,
+                        fit_sppca, predict_sppca)
 from .linalg import orthonormalize, stiefel_step, sym_eig_topk
 from .regression import ols_fit
 from .simulation import SpectrumSpec
@@ -89,8 +90,9 @@ def _oracle_sphere_grid(inject: bool) -> OracleResult:
         w = data.X.T @ data.y
         cov = data.X.T @ data.X
         cases = {
-            "pls": (np.outer(w, w), fit_pls(data, 1).basis[:, 0]),
-            "barshan": (np.outer(w, w), fit_barshan(data, 1).basis[:, 0]),
+            "pls": (np.outer(w, w), fit_pls_extended(data, 1, 0.0).basis[:, 0]),
+            "barshan": (np.outer(w, w),
+                        fit_barshan_extended(data, 1, 0.0).basis[:, 0]),
             "barshan_ext": (np.outer(w, w) + cov,
                             fit_barshan_extended(data, 1, 1.0).basis[:, 0]),
         }

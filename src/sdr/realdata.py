@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, fit_centering, load_csv
-from .intrinsic import LspcaOptions, SppcaOptions
-from .methods import DEFAULT_GAMMA_GRID, DEFAULT_METHODS, fit_method
+from .data import Dataset, IngestError, center_dataset, fit_centering, load_csv
+from .methods import (DEFAULT_GAMMA_GRID, DEFAULT_METHODS, attempt_fit,
+                      fit_method)
 from .linalg import sym_eig_topk
 
 
@@ -58,9 +58,7 @@ class RealDataResult:
     points: list[CurvePoint] = field(default_factory=list)
 
 
-def run_real_data(config: RealDataConfig,
-                  lspca_opts: LspcaOptions | None = None,
-                  sppca_opts: SppcaOptions | None = None) -> RealDataResult:
+def run_real_data(config: RealDataConfig) -> RealDataResult:
     data, names = load_csv(config.path, config.response,
                            delimiter=config.delimiter, drop=tuple(config.drop))
     n, p = data.X.shape
@@ -71,12 +69,16 @@ def run_real_data(config: RealDataConfig,
     train_idx, test_idx = perm[:n_train], perm[n_train:]
     n_val = int(round(config.val_fraction * n_train))
     fit_idx, val_idx = train_idx[:n_train - n_val], train_idx[n_train - n_val:]
+    if min(len(fit_idx), n_val, n_test) < 2:
+        raise IngestError(f"{n} data rows split into {len(fit_idx)} fit, "
+                          f"{n_val} validation and {n_test} test rows; "
+                          "each split needs at least 2")
 
-    raw_fit = Dataset(data.X[fit_idx], data.y[fit_idx])
+    raw_fit, raw_val, raw_test = (Dataset(data.X[idx], data.y[idx])
+                                  for idx in (fit_idx, val_idx, test_idx))
     transform = fit_centering(raw_fit, unit_scale=True)
-    center = lambda idx: Dataset(transform.apply(data.X[idx]),
-                                 transform.apply_y(data.y[idx]))
-    train, val, test = center(fit_idx), center(val_idx), center(test_idx)
+    train, val, test = (center_dataset(d, transform)
+                        for d in (raw_fit, raw_val, raw_test))
 
     spectrum = sym_eig_topk(train.X.T @ train.X, p).values
     k_max = p if config.k_max is None else min(config.k_max, p)
@@ -84,34 +86,11 @@ def run_real_data(config: RealDataConfig,
                             n_test=n_test, spectrum=spectrum)
     for k in range(config.k_min, k_max + 1):
         for method in config.methods:
-            try:
-                fit = fit_method(method, train, val, k, score=config.score,
-                                 gamma_grid=config.gamma_grid,
-                                 lspca_opts=lspca_opts, sppca_opts=sppca_opts)
-                point = CurvePoint(method, k, fit.evaluate(train),
-                                   fit.evaluate(test),
-                                   _plain(fit.hyperparams))
-            except Exception as exc:
-                point = CurvePoint(method, k, None, None, {},
-                                   error=f"{type(exc).__name__}: {exc}")
-            result.points.append(point)
+            result.points.append(CurvePoint(method, k, *attempt_fit(
+                lambda: fit_method(method, train, val, k, score=config.score,
+                                   gamma_grid=config.gamma_grid),
+                train, test)))
     return result
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _plain(obj.tolist())
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
-    return obj
 
 
 def curves_to_csv(result: RealDataResult) -> str:

@@ -8,16 +8,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, fit_centering
-from .methods import (DEFAULT_GAMMA_GRID, DEFAULT_METHODS, fit_method,
-                      with_model)
-from .intrinsic import (LspcaOptions, fit_barshan_extended, fit_lspca,
-                        fit_pls_extended)
+from .data import Dataset, center_dataset, fit_centering
+from .methods import (DEFAULT_GAMMA_GRID, DEFAULT_METHODS, METHODS,
+                      attempt_fit, fit_method, with_model)
 
 SPECTRUM_KINDS = ("fast", "slow")
 ALIGNMENT_KINDS = ("well", "mis", "partial")
@@ -172,7 +169,7 @@ class BenchConfig:
     def __post_init__(self):
         if self.n_trials < 1:
             raise ValueError("trial count must be >= 1")
-        unknown = set(self.methods) - set(DEFAULT_METHODS)
+        unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
 
@@ -223,12 +220,11 @@ def trial_seed(master_seed: int, *indices: int) -> int:
 
 def _centered_views(trial: TrialData) -> tuple[Dataset, Dataset, Dataset]:
     transform = fit_centering(trial.train)
-    center = lambda d: Dataset(transform.apply(d.X), transform.apply_y(d.y))
-    return center(trial.train), center(trial.validation), center(trial.test)
+    return tuple(center_dataset(d, transform)
+                 for d in (trial.train, trial.validation, trial.test))
 
 
-def run_benchmark(config: BenchConfig,
-                  lspca_opts: LspcaOptions | None = None) -> BenchReport:
+def run_benchmark(config: BenchConfig) -> BenchReport:
     """Run the full trial grid; per-method failures are recorded, never
     silently dropped.  Fully deterministic given the master seed."""
     report = BenchReport(config={
@@ -256,18 +252,14 @@ def run_benchmark(config: BenchConfig,
                     train, val, test = _centered_views(trial)
                     for m in config.methods:
                         summary = per_method[m]
-                        try:
-                            fit = fit_method(m, train, val, config.k,
-                                             score=config.score,
-                                             gamma_grid=config.gamma_grid,
-                                             lspca_opts=lspca_opts)
-                            rec = TrialRecord(t, seed, fit.evaluate(train),
-                                              fit.evaluate(test),
-                                              _json_safe(fit.hyperparams))
+                        rec = TrialRecord(t, seed, *attempt_fit(
+                            lambda: fit_method(m, train, val, config.k,
+                                               score=config.score,
+                                               gamma_grid=config.gamma_grid),
+                            train, test))
+                        if rec.error is None:
                             summary.n_ok += 1
-                        except Exception as exc:
-                            rec = TrialRecord(t, seed, None, None, {},
-                                              error=f"{type(exc).__name__}: {exc}")
+                        else:
                             summary.n_failed += 1
                         summary.trials.append(rec)
                 for m in config.methods:
@@ -279,22 +271,6 @@ def run_benchmark(config: BenchConfig,
                     setting.methods.append(summary)
                 report.settings.append(setting)
     return report
-
-
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
-    if isinstance(obj, np.ndarray):
-        return _json_safe(obj.tolist())
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +374,11 @@ class SweepCurves:
     ols_ref: float
 
 
-def gamma_sweep(config: SweepConfig,
-                lspca_opts: LspcaOptions | None = None) -> list[SweepCurves]:
+#: Methods on the sweep, in the row order of the written curves.
+SWEEP_METHODS = ("lspca", "barshan", "pls")
+
+
+def gamma_sweep(config: SweepConfig) -> list[SweepCurves]:
     """Test-MSE curves over the gamma grid for the three balanced methods.
 
     The same trial datasets are reused across every gamma (paired design);
@@ -420,18 +399,12 @@ def gamma_sweep(config: SweepConfig,
             vals = [fit_method(name, train, val, config.k).evaluate(test)
                     for train, val, test in trials]
             refs[name] = float(np.mean(vals))
-        per_method = {"lspca": [], "barshan": [], "pls": []}
-        fitters = {
-            "lspca": lambda d, g: fit_lspca(d, config.k, g, lspca_opts)[0],
-            "barshan": lambda d, g: fit_barshan_extended(d, config.k, g),
-            "pls": lambda d, g: fit_pls_extended(d, config.k, g),
-        }
+        per_method = {name: [] for name in SWEEP_METHODS}
         for gamma in config.grid:
-            for name, fitter in fitters.items():
-                vals = []
-                for train, _, test in trials:
-                    fit = with_model(name, fitter(train, gamma), train)
-                    vals.append(fit.evaluate(test))
+            for name in SWEEP_METHODS:
+                fit = METHODS[name].fit
+                vals = [with_model(name, fit(train, config.k, gamma), train)
+                        .evaluate(test) for train, _, test in trials]
                 per_method[name].append(float(np.mean(vals)))
         curves.append(SweepCurves(alignment=alignment,
                                   gammas=[float(g) for g in config.grid],

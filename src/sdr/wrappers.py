@@ -6,8 +6,6 @@ All fits expect centered data: column means of X and the mean of y removed.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from .data import Dataset, FittedReducer, PVStep
@@ -51,28 +49,19 @@ def score_variables(x: np.ndarray, y: np.ndarray,
     return scores, order
 
 
-def _training_mse_evaluator(basis: np.ndarray, z: np.ndarray, y: np.ndarray) -> float:
-    model = ols_fit(z, y)
-    return mse(model.predict(z), y)
-
-
-def fit_bair(data: Dataset, k: int, score: str = "pearson",
-             evaluator: Callable[[np.ndarray, np.ndarray, np.ndarray], float] | None = None,
-             ) -> FittedReducer:
+def fit_bair(data: Dataset, k: int, score: str = "pearson") -> FittedReducer:
     """Variable pre-selection, then PCA on the selected columns.
 
     Scans M = K..P top-scoring variables, runs K-component PCA on each column
-    submatrix, and keeps the M whose downstream model scores best under
-    ``evaluator`` (training-set OLS MSE by default; MSE ties go to smaller M).
-    The basis is embedded back into P dimensions, zero outside the selection,
-    so reduce() stays a plain projection.
+    submatrix, and keeps the M whose downstream OLS model has the lowest
+    training MSE (ties go to smaller M).  The basis is embedded back into P
+    dimensions, zero outside the selection, so reduce() stays a plain
+    projection.
     """
     x, y = data.X, data.y
     n, p = x.shape
     if k > p:
         raise ValueError(f"K={k} exceeds P={p}")
-    if evaluator is None:
-        evaluator = _training_mse_evaluator
     _, order = score_variables(x, y, score)
     cov = x.T @ x  # submatrices are slices of the full covariance
     best_mse = np.inf
@@ -84,7 +73,7 @@ def fit_bair(data: Dataset, k: int, score: str = "pearson",
         basis = np.zeros((p, k))
         basis[idx] = pairs.vectors
         z = x @ basis
-        candidate_mse = evaluator(basis, z, y)
+        candidate_mse = mse(ols_fit(z, y).predict(z), y)
         if candidate_mse < best_mse:
             best_mse = candidate_mse
             best_m = m

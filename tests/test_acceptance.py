@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from sdr.data import Dataset, reduce
-from sdr.intrinsic import (fit_barshan, fit_barshan_extended, fit_lspca,
-                           fit_pls, fit_sppca, predict_sppca)
+from sdr.intrinsic import (fit_barshan_extended, fit_lspca, fit_pls_extended,
+                           fit_sppca, predict_sppca)
 from sdr.linalg import orthonormalize
 from sdr.oracles import sphere_grid
 from sdr.realdata import RealDataConfig, run_real_data
@@ -152,8 +152,8 @@ def test_criterion_6_sphere_grid_oracle():
         w = data.X.T @ data.y
         cov = data.X.T @ data.X
         cases = (
-            (np.outer(w, w), fit_pls(data, 1).basis[:, 0]),
-            (np.outer(w, w), fit_barshan(data, 1).basis[:, 0]),
+            (np.outer(w, w), fit_pls_extended(data, 1, 0.0).basis[:, 0]),
+            (np.outer(w, w), fit_barshan_extended(data, 1, 0.0).basis[:, 0]),
             (np.outer(w, w) + 1.0 * cov,
              fit_barshan_extended(data, 1, 1.0).basis[:, 0]),
         )

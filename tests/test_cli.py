@@ -138,6 +138,16 @@ class TestRealData:
         assert main(["real-data", "--data", str(tmp_path / "nope.csv"),
                      "--response", "y", "--out", str(tmp_path)]) == 2
 
+    def test_too_few_rows_to_split_exit_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "tiny.csv"
+        csv_path.write_text("a,b,c,target\n" + "".join(
+            f"{i},{i * i},{7 - i},{2 * i}\n" for i in range(5)), encoding="utf-8")
+        code = main(["real-data", "--data", str(csv_path), "--response",
+                     "target", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "3 fit, 1 validation and 1 test rows" in err
+
 
 class TestOracleCheck:
     def test_passes_within_time_budget(self, capsys):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from sdr.data import (Dataset, FittedReducer, IngestError, PVStep, SppcaState,
-                      fit_centering, load_csv, reduce, reducer_from_json,
-                      reducer_to_json)
+                      fit_centering, json_safe, load_csv, reduce,
+                      reducer_from_json, reducer_to_json)
 
 
 def _unit_cols(*cols):
@@ -178,6 +178,33 @@ class TestSerialization:
         assert np.array_equal(back.sppca_state.loadings, state.loadings)
         assert back.sppca_state.sigma_x == 0.3
         assert back.hyperparams["gamma"] == math.inf
+
+
+class TestJsonSafe:
+    def _roundtrip(self, hyperparams):
+        reducer = FittedReducer("pca", 1, basis=np.eye(2)[:, :1],
+                                hyperparams=hyperparams)
+        return reducer_from_json(reducer_to_json(reducer)).hyperparams
+
+    def test_infinities(self):
+        hyper = {"gamma": math.inf, "low": -math.inf, "grid": [0.0, -math.inf]}
+        assert json_safe(hyper) == {"gamma": "inf", "low": "-inf",
+                                    "grid": [0.0, "-inf"]}
+        assert self._roundtrip(hyper) == hyper
+
+    def test_numpy_scalars(self):
+        hyper = {"m": np.int64(3), "mse": np.float64(0.25),
+                 "gamma": np.float64(np.inf), "converged": np.bool_(True)}
+        plain = json_safe(hyper)
+        assert plain == {"m": 3, "mse": 0.25, "gamma": "inf", "converged": True}
+        assert [type(v) for v in plain.values()] == [int, float, str, bool]
+        assert self._roundtrip(hyper) == {"m": 3, "mse": 0.25,
+                                          "gamma": math.inf, "converged": True}
+
+    def test_arrays_nested_in_lists(self):
+        hyper = {"steps": [np.array([1.5, -np.inf]), (np.arange(2), 7)]}
+        assert json_safe(hyper) == {"steps": [[1.5, "-inf"], [[0, 1], 7]]}
+        assert self._roundtrip(hyper) == {"steps": [[1.5, -math.inf], [[0, 1], 7]]}
 
 
 class TestLoadCsv:

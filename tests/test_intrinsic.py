@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from sdr.data import Dataset, FittedReducer, SppcaState, reduce
-from sdr.intrinsic import (LspcaOptions, fit_barshan, fit_barshan_extended,
-                           fit_lspca, fit_pls, fit_pls_extended, fit_sppca,
-                           predict_sppca)
+from sdr.intrinsic import (LspcaOptions, fit_barshan_extended, fit_lspca,
+                           fit_pls_extended, fit_sppca, predict_sppca)
 from sdr.linalg import DegenerateDirectionError, orthonormalize, sym_eig_topk
 
 
@@ -41,7 +40,7 @@ class TestPLS:
     def test_first_direction_closed_form(self):
         data = _random_dataset(0)
         w = data.X.T @ data.y
-        u = fit_pls(data, 1).basis[:, 0]
+        u = fit_pls_extended(data, 1, 0.0).basis[:, 0]
         expected = w / np.linalg.norm(w)
         if expected[np.argmax(np.abs(expected))] < 0:
             expected = -expected
@@ -50,14 +49,14 @@ class TestPLS:
     def test_tiny_example(self):
         data = Dataset(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
                        np.array([1.0, 0.0, -1.0, 0.0]))
-        u = fit_pls(data, 1).basis[:, 0]
+        u = fit_pls_extended(data, 1, 0.0).basis[:, 0]
         np.testing.assert_allclose(u, [1.0, 0.0], atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_first_direction_matches_barshan(self, seed):
         data = _random_dataset(seed)
-        u_pls = fit_pls(data, 1).basis[:, 0]
-        u_bar = fit_barshan(data, 1).basis[:, 0]
+        u_pls = fit_pls_extended(data, 1, 0.0).basis[:, 0]
+        u_bar = fit_barshan_extended(data, 1, 0.0).basis[:, 0]
         assert float(u_pls @ u_bar) >= 1.0 - 1e-10
 
     def test_deflation_zeroes_chosen_direction(self):
@@ -65,7 +64,7 @@ class TestPLS:
         # later weights are orthogonal to earlier ones (the scores themselves
         # are not orthogonal under this deflation)
         data = _random_dataset(1, n=60, p=10)
-        basis = fit_pls(data, 5).basis
+        basis = fit_pls_extended(data, 5, 0.0).basis
         xk = data.X.copy()
         for i in range(5):
             u = basis[:, i]
@@ -73,7 +72,7 @@ class TestPLS:
             assert np.abs(xk @ u).max() <= 1e-10 * np.abs(data.X).max()
 
     def test_basis_orthonormal_unit_columns(self):
-        reducer = fit_pls(_random_dataset(2), 4)
+        reducer = fit_pls_extended(_random_dataset(2), 4, 0.0)
         gram = reducer.basis.T @ reducer.basis
         assert np.linalg.norm(gram - np.eye(4)) <= 1e-8
 
@@ -84,16 +83,27 @@ class TestPLS:
         y = rng.standard_normal(20)
         y -= x @ np.linalg.lstsq(x, y, rcond=None)[0]  # orthogonal to columns
         with pytest.raises(DegenerateDirectionError) as exc:
-            fit_pls(Dataset(x, y), 1)
+            fit_pls_extended(Dataset(x, y), 1, 0.0)
         assert exc.value.iteration == 1
 
 
 class TestExtendedPLS:
     def test_gamma_zero_reduces_to_pls(self):
+        # classic PLS, written out: normalized X^T y, then X and y deflation
         data = _random_dataset(4)
         b0 = fit_pls_extended(data, 3, 0.0).basis
-        b = fit_pls(data, 3).basis
-        np.testing.assert_allclose(b0, b, atol=1e-10)
+        xk, yk = data.X.copy(), data.y.copy()
+        cols = []
+        for _ in range(3):
+            u = xk.T @ yk
+            u /= np.linalg.norm(u)
+            if u[np.argmax(np.abs(u))] < 0:
+                u = -u
+            z = xk @ u
+            xk = xk - np.outer(z, u)
+            yk = yk - (yk @ z) / (z @ z) * z
+            cols.append(u)
+        np.testing.assert_allclose(b0, np.column_stack(cols), atol=1e-10)
 
     def test_gamma_infinity_first_direction_is_top_pc(self):
         data = _random_dataset(5)
@@ -116,21 +126,21 @@ class TestBarshan:
     def test_first_direction_is_xty(self):
         data = _random_dataset(8)
         w = data.X.T @ data.y
-        u = fit_barshan(data, 1).basis[:, 0]
+        u = fit_barshan_extended(data, 1, 0.0).basis[:, 0]
         assert abs(abs(u @ w) - np.linalg.norm(w)) <= 1e-10
 
     def test_rank_one_objective_flat_beyond_k1(self):
         data = _random_dataset(9)
         obj = lambda basis: np.linalg.norm((data.X @ basis).T @ data.y) ** 2
-        o1 = obj(fit_barshan(data, 1).basis)
-        r2 = fit_barshan(data, 2)
+        o1 = obj(fit_barshan_extended(data, 1, 0.0).basis)
+        r2 = fit_barshan_extended(data, 2, 0.0)
         o2 = obj(r2.basis)
         assert abs(o1 - o2) <= 1e-10 * max(1.0, o1)
         assert r2.hyperparams["degenerate_completion"]
 
     def test_completion_uses_leading_variance_directions(self):
         data = _random_dataset(10)
-        basis = fit_barshan(data, 3).basis
+        basis = fit_barshan_extended(data, 3, 0.0).basis
         u1 = basis[:, :1]
         proj = np.eye(data.p) - u1 @ u1.T
         expected = sym_eig_topk(proj @ data.X.T @ data.X @ proj, 2).vectors
@@ -147,7 +157,7 @@ class TestExtendedBarshan:
     def test_gamma_zero_k1_matches_pls(self):
         data = _random_dataset(12)
         u = fit_barshan_extended(data, 1, 0.0).basis[:, 0]
-        u_pls = fit_pls(data, 1).basis[:, 0]
+        u_pls = fit_pls_extended(data, 1, 0.0).basis[:, 0]
         np.testing.assert_allclose(u, u_pls, atol=1e-12)
 
     def test_generic_gamma_solves_eigenproblem(self):

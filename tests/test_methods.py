@@ -1,0 +1,96 @@
+import math
+
+import numpy as np
+import pytest
+
+import sdr.methods as methods
+from sdr.cli import ConfigError, _parse_methods
+from sdr.data import STATE_KINDS, Dataset
+from sdr.methods import (DEFAULT_GAMMA_GRID, DEFAULT_METHODS, GAMMA_NONNEGATIVE,
+                         GAMMA_POSITIVE, METHODS, fit_method)
+from sdr.simulation import BenchConfig
+
+
+def _train_val(seed=0, n=40, p=5):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    y = x @ rng.standard_normal(p) + 0.1 * rng.standard_normal(n)
+    x, y = x - x.mean(axis=0), y - y.mean()
+    return Dataset(x[:30], y[:30]), Dataset(x[30:], y[30:])
+
+
+class TestRegistry:
+    def test_one_method_list(self):
+        with pytest.raises(ConfigError) as exc:
+            _parse_methods("zebra")
+        cli_choices = str(exc.value).split("choose from ")[1].split(", ")
+        assert set(cli_choices) == set(DEFAULT_METHODS)
+        assert _parse_methods("all") == DEFAULT_METHODS
+        assert set(DEFAULT_METHODS) == set(STATE_KINDS) | {"ols"}
+
+    def test_report_row_order(self):
+        assert DEFAULT_METHODS == ("ols", "pca", "bair", "pv", "pcps",
+                                   "pls", "barshan", "lspca", "sppca")
+
+    def test_gamma_domains(self):
+        domains = {name: entry.gamma for name, entry in METHODS.items()}
+        assert domains == {"ols": None, "pca": None, "bair": None, "pv": None,
+                           "pcps": None, "pls": GAMMA_NONNEGATIVE,
+                           "barshan": GAMMA_NONNEGATIVE,
+                           "lspca": GAMMA_POSITIVE, "sppca": None}
+        assert METHODS["lspca"].tuning_grid(DEFAULT_GAMMA_GRID) == \
+            list(DEFAULT_GAMMA_GRID[1:])
+        assert METHODS["pls"].tuning_grid(DEFAULT_GAMMA_GRID) == \
+            list(DEFAULT_GAMMA_GRID)
+
+    @pytest.mark.parametrize("name", DEFAULT_METHODS)
+    def test_every_entry_fits(self, name):
+        train, val = _train_val()
+        fit = fit_method(name, train, val, 2)
+        assert fit.method == name
+        assert (fit.reducer is None) == (name == "ols")
+        if fit.reducer is not None:
+            assert fit.reducer.method == name
+        assert math.isfinite(fit.evaluate(val))
+        if METHODS[name].gamma is not None:
+            assert math.isfinite(fit.hyperparams["val_mse"])
+
+    def test_bench_config_rejects_unknown_method(self):
+        with pytest.raises(ValueError, match="zebra"):
+            BenchConfig(methods=("pca", "zebra"))
+
+    def test_unknown_method(self):
+        train, val = _train_val()
+        with pytest.raises(ValueError, match="unknown method"):
+            fit_method("zebra", train, val, 1)
+
+
+class TestGammaTuning:
+    @pytest.mark.parametrize("name", ["pls", "barshan", "lspca"])
+    def test_no_finite_validation_mse_raises(self, name):
+        train, _ = _train_val()
+        rng = np.random.default_rng(1)
+        xv = rng.standard_normal((3, 5))
+        xv[0] = [1e308, -1e308, 1e308, -1e308, 1e308]
+        val = Dataset(xv, rng.standard_normal(3))
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=name):
+            fit_method(name, train, val, 2)
+
+    def test_non_finite_candidate_is_skipped(self, monkeypatch):
+        train, val = _train_val()
+        calls = []
+        real_mse = methods.mse
+
+        def nan_first(pred, truth):
+            calls.append(None)
+            return math.nan if len(calls) == 1 else real_mse(pred, truth)
+
+        monkeypatch.setattr(methods, "mse", nan_first)
+        fit = fit_method("pls", train, val, 2)
+        assert fit.hyperparams["gamma"] != DEFAULT_GAMMA_GRID[0]
+        assert math.isfinite(fit.hyperparams["val_mse"])
+
+    def test_needs_validation_split(self):
+        train, _ = _train_val()
+        with pytest.raises(ValueError, match="validation"):
+            fit_method("pls", train, None, 2)
