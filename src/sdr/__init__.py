@@ -9,8 +9,8 @@ from .data import (CenteringTransform, Dataset, FittedReducer, IngestError,
                    PVStep, SppcaState, center_dataset, fit_centering,
                    load_csv, reduce, reducer_from_json, reducer_to_json)
 from .intrinsic import (LspcaOptions, LspcaSolution, SppcaOptions,
-                        fit_barshan_extended, fit_lspca, fit_pls_extended,
-                        fit_sppca, predict_sppca)
+                        fit_barshan_extended, fit_lspca, fit_lspca_grid,
+                        fit_pls_extended, fit_sppca, predict_sppca)
 from .linalg import (DegenerateDirectionError, EigenPairs,
                      IterationLimitError, RankDeficientError, orthonormalize,
                      stiefel_step, sym_eig_topk)

@@ -176,93 +176,176 @@ def fit_lspca(data: Dataset, k: int, gamma: float,
     the PCA basis.  gamma = inf short-circuits to PCA.  On whitened data the
     reconstruction term is constant on the manifold and the problem reduces
     to the covariance eigenproblem, which is solved in closed form with the
-    shared deterministic completion.
+    shared deterministic completion.  At K = P every basis spans the whole
+    space, so the PCA basis is returned without iterating.
+
+    This is the one-gamma call of ``fit_lspca_grid``.
     """
-    gamma = _check_gamma(gamma)
+    return fit_lspca_grid(data, k, [gamma], opts)[0]
+
+
+def fit_lspca_grid(data: Dataset, k: int, gammas,
+                   opts: LspcaOptions | None = None
+                   ) -> list[tuple[FittedReducer, LspcaSolution]]:
+    """LSPCA at every gamma of a grid: ``[(reducer, solution), ...]`` in grid
+    order, each as ``fit_lspca`` describes it.
+
+    The fits that iterate share one training split and one PCA start, so
+    they run in lock-step: each round takes one trial step for every
+    unfinished fit as one stacked evaluation.  Each fit keeps its own step
+    size, acceptance, iteration count and stopping test, so its trial points
+    are those of the same fit run on its own.
+    """
     opts = opts or LspcaOptions()
+    p = data.p
+    checked = []
+    for gamma in gammas:
+        gamma = _check_gamma(gamma)
+        if k > p:
+            raise ValueError(f"K={k} exceeds P={p}")
+        if gamma == 0.0:
+            raise ValueError("gamma must be positive and finite (or math.inf)")
+        checked.append(gamma)
     x, y = data.X, data.y
-    n, p = x.shape
-    if k > p:
-        raise ValueError(f"K={k} exceeds P={p}")
     cov = x.T @ x
     w = x.T @ y
     yy = float(y @ y)
     tr_cov = float(np.trace(cov))
 
-    def beta_for(u: np.ndarray) -> np.ndarray:
-        gram = u.T @ cov @ u
-        try:
-            return np.linalg.solve(gram, u.T @ w)
-        except np.linalg.LinAlgError:
-            return np.linalg.lstsq(gram, u.T @ w, rcond=None)[0]
-
-    def objective(u: np.ndarray, beta: np.ndarray, gam: float) -> float:
+    def evaluate(u: np.ndarray, gam: np.ndarray):
+        """beta, objective and cov @ U for a stack of bases (m, p, k)."""
         cu = cov @ u
-        utcu = u.T @ cu
-        supervised = yy - 2.0 * float(beta @ (u.T @ w)) + float(beta @ utcu @ beta)
-        reconstruction = tr_cov - float(np.trace(utcu))
-        return supervised + gam * reconstruction
+        ut = u.swapaxes(-1, -2)
+        gram = ut @ cu
+        utw = ut @ w
+        beta = _solve_stack(gram, utw)
+        supervised = (yy - 2.0 * (beta * utw).sum(axis=-1)
+                      + (beta * (gram @ beta[..., None])[..., 0]).sum(axis=-1))
+        reconstruction = tr_cov - gram.trace(axis1=-2, axis2=-1)
+        return beta, supervised + gam * reconstruction, cu
 
-    if math.isinf(gamma):
-        basis = _pca_basis(cov, k)
-        beta = beta_for(basis)
-        # limit case: report the unweighted objective terms
-        sol = LspcaSolution(basis=basis, beta=beta,
-                            objective_trace=[objective(basis, beta, 1.0)])
-        return (FittedReducer("lspca", k, basis=basis,
-                              hyperparams={"gamma": gamma, "converged": True,
-                                           "iterations": 0}), sol)
-    if gamma == 0.0:
-        raise ValueError("gamma must be positive and finite (or math.inf)")
+    def closed_form(basis: np.ndarray, gamma: float, objective_gamma: float,
+                    **flags) -> tuple[FittedReducer, LspcaSolution]:
+        beta, f, _ = evaluate(basis[None], np.array([objective_gamma]))
+        return _lspca_result(k, gamma, basis, beta[0], [float(f[0])], True, 0,
+                             **flags)
 
-    if _is_isotropic(cov) and np.linalg.norm(w) > 0:
-        # X^T X = c I makes the reconstruction term constant over the
-        # manifold; the optimum is any subspace containing w.  Use the shared
-        # canonical completion so the result matches the balanced
-        # covariance-eigenproblem method exactly.
-        basis = _rank1_completed_basis(w, cov, k)
-        beta = beta_for(basis)
-        sol = LspcaSolution(basis=basis, beta=beta,
-                            objective_trace=[objective(basis, beta, gamma)])
-        return (FittedReducer("lspca", k, basis=basis,
-                              hyperparams={"gamma": gamma, "converged": True,
-                                           "iterations": 0,
-                                           "degenerate_shortcut": True}), sol)
+    # X^T X = c I makes the reconstruction term constant over the manifold;
+    # the optimum is any subspace containing w.  The shared canonical
+    # completion makes the result match the balanced covariance-eigenproblem
+    # method exactly.
+    isotropic = _is_isotropic(cov) and np.linalg.norm(w) > 0
+    start = (_pca_basis(cov, k) if any(math.isinf(g) or not isotropic for g in checked)
+             else None)
+    results: list = [None] * len(checked)
+    slots = []  # grid index of each fit that descends
+    for i, gamma in enumerate(checked):
+        if math.isinf(gamma):
+            # limit case: report the unweighted objective terms
+            results[i] = closed_form(start, gamma, 1.0)
+        elif isotropic:
+            results[i] = closed_form(_rank1_completed_basis(w, cov, k), gamma,
+                                     gamma, degenerate_shortcut=True)
+        elif k == p:
+            # every basis spans the whole space: the objective is constant
+            results[i] = closed_form(start, gamma, gamma)
+        else:
+            slots.append(i)
 
-    u = _pca_basis(cov, k)
-    beta = beta_for(u)
-    f = objective(u, beta, gamma)
-    trace = [f]
-    step = opts.initial_step
-    converged = False
-    it = 0
-    for it in range(1, opts.max_iters + 1):
-        cu = cov @ u
-        grad = 2.0 * np.outer(cu @ beta - w, beta) - 2.0 * gamma * cu
-        accepted = False
-        while step >= opts.min_step:
-            u_new = stiefel_step(u, grad, step)
-            beta_new = beta_for(u_new)
-            f_new = objective(u_new, beta_new, gamma)
-            if f_new < f:
-                accepted = True
-                break
-            step /= 2.0
-        if not accepted:
-            converged = True  # no descent direction at machine precision
-            break
-        rel = (f - f_new) / max(1.0, abs(f))
-        u, beta, f = u_new, beta_new, f_new
-        trace.append(f)
-        step *= 2.0
-        if rel < opts.tol:
-            converged = True
-            break
-    sol = LspcaSolution(basis=u, beta=beta, objective_trace=trace,
-                        converged=converged, n_iters=it)
-    return (FittedReducer("lspca", k, basis=u,
+    if not slots:
+        return results
+
+    # Per-fit state of the running fits, position j for grid index slots[j]:
+    # the stacked basis, beta and cov @ U, and scalar step size, objective,
+    # iteration in progress and trace.  A finished fit leaves the stacks.
+    m = len(slots)
+    gam = np.array([checked[i] for i in slots])
+    u = np.repeat(start[None], m, axis=0)
+    beta, f_start, cu = evaluate(u, gam)
+    f = f_start.tolist()
+    traces = [[v] for v in f]
+    step = [float(opts.initial_step)] * m
+    n_iters = [1 if opts.max_iters >= 1 else 0] * m
+    # a fit whose step falls below min_step has no descent direction at
+    # machine precision and counts as converged
+    converged = [n > 0 and opts.initial_step < opts.min_step for n in n_iters]
+    stop = set(range(m)) if opts.max_iters < 1 or any(converged) else set()
+    while True:
+        if stop:
+            for j in stop:
+                results[slots[j]] = _lspca_result(k, checked[slots[j]], u[j], beta[j],
+                                                  traces[j], converged[j], n_iters[j])
+            keep = [j for j in range(len(slots)) if j not in stop]
+            slots, f, traces, step, n_iters, converged = (
+                [seq[j] for j in keep]
+                for seq in (slots, f, traces, step, n_iters, converged))
+            u, beta, cu, gam = (arr[keep] for arr in (u, beta, cu, gam))
+            stop = set()
+        if not slots:
+            return results
+        u_trial = stiefel_step(u, _lspca_gradient(cu, beta, w, gam), step)
+        beta_trial, f_trial, cu_trial = evaluate(u_trial, gam)
+        accepted = []
+        for j, f_new in enumerate(f_trial.tolist()):
+            accepted.append(f_new < f[j])
+            if not accepted[-1]:
+                step[j] /= 2.0
+                if step[j] < opts.min_step:
+                    converged[j] = True
+                    stop.add(j)
+                continue
+            rel = (f[j] - f_new) / max(1.0, abs(f[j]))
+            f[j] = f_new
+            traces[j].append(f_new)
+            step[j] *= 2.0
+            if rel < opts.tol:
+                converged[j] = True
+                stop.add(j)
+            elif n_iters[j] >= opts.max_iters:
+                stop.add(j)
+            else:
+                n_iters[j] += 1
+        take = np.array(accepted)[:, None, None]
+        u = np.where(take, u_trial, u)
+        cu = np.where(take, cu_trial, cu)
+        beta = np.where(take[:, :, 0], beta_trial, beta)
+
+
+def _lspca_result(k: int, gamma: float, basis: np.ndarray, beta: np.ndarray,
+                  trace: list, converged: bool, n_iters: int,
+                  **flags) -> tuple[FittedReducer, LspcaSolution]:
+    sol = LspcaSolution(basis=basis, beta=beta, objective_trace=trace,
+                        converged=converged, n_iters=n_iters)
+    return (FittedReducer("lspca", k, basis=basis,
                           hyperparams={"gamma": gamma, "converged": converged,
-                                       "iterations": it}), sol)
+                                       "iterations": n_iters, **flags}), sol)
+
+
+def _lspca_gradient(cu: np.ndarray, beta: np.ndarray, w: np.ndarray,
+                    gam: np.ndarray) -> np.ndarray:
+    """Ambient gradient of the LSPCA objective in U for a stack of fits."""
+    resid = (cu @ beta[..., None])[..., 0] - w
+    return 2.0 * resid[..., :, None] * beta[..., None, :] - 2.0 * gam[:, None, None] * cu
+
+
+def _solve_stack(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve gram[i] @ x[i] = rhs[i] for stacks (m, k, k) and (m, k); a
+    singular slice falls back to least squares on its own.
+
+    The right-hand side goes in as (m, k, 1) because numpy 2.0 changed how
+    a ``b`` with ``b.ndim == a.ndim - 1`` is read.
+    """
+    try:
+        return np.linalg.solve(gram, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        pass
+    out = []
+    for g, r in zip(gram, rhs):
+        try:
+            out.append(np.linalg.solve(g, r))
+        except np.linalg.LinAlgError:
+            out.append(np.linalg.lstsq(g, r, rcond=None)[0])
+    return np.stack(out)
 
 
 # ---------------------------------------------------------------------------

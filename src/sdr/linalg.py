@@ -98,22 +98,25 @@ def sym_eig_topk(s: np.ndarray, k: int) -> EigenPairs:
 def orthonormalize(m: np.ndarray) -> np.ndarray:
     """Thin-QR orthonormal basis of span(m) with nonnegative R diagonal.
 
-    Raises RankDeficientError naming the first dependent column.
+    ``m`` may be a stack ``(..., p, k)``; each slice is orthonormalized on
+    its own.  Raises RankDeficientError naming the first dependent column
+    of the first slice that has one.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
+    if m.ndim < 2:
         raise ValueError("expected a 2-d matrix")
     q, r = np.linalg.qr(m)
-    diag = np.abs(np.diag(r))
-    tol = max(m.shape) * np.finfo(float).eps * max(diag.max(initial=0.0), 1e-300)
-    bad = np.nonzero(diag <= tol)[0]
-    if bad.size:
-        raise RankDeficientError(int(bad[0]))
-    signs = np.sign(np.diag(r))
-    return q * signs
+    diag = r.diagonal(axis1=-2, axis2=-1)
+    size = np.abs(diag)
+    scale = np.maximum(size.max(axis=-1, initial=0.0), 1e-300)
+    bad = size <= (max(m.shape[-2:]) * np.finfo(float).eps * scale)[..., None]
+    if bad.any():
+        first = np.argwhere(bad)[0]
+        raise RankDeficientError(int(first[-1]))
+    return q * np.sign(diag)[..., None, :]
 
 
-def stiefel_step(u: np.ndarray, grad: np.ndarray, step: float) -> np.ndarray:
+def stiefel_step(u: np.ndarray, grad: np.ndarray, step) -> np.ndarray:
     """One projected-gradient step on the Stiefel manifold with QR retraction.
 
     Moves against ``grad``: the ambient gradient is projected onto the
@@ -121,13 +124,19 @@ def stiefel_step(u: np.ndarray, grad: np.ndarray, step: float) -> np.ndarray:
     U - step*T is retracted by thin QR.  The result has orthonormal columns
     for any gradient magnitude because U - step*T is always full rank for
     tangent T.
+
+    ``u`` and ``grad`` may be stacks ``(..., p, k)``, stepped slice by slice;
+    ``step`` is then a scalar or one value per slice (shape ``(...)``).
     """
     u = np.asarray(u, dtype=float)
     grad = np.asarray(grad, dtype=float)
     if u.shape != grad.shape:
         raise ValueError(f"shape mismatch: {u.shape} vs {grad.shape}")
-    if not step > 0:
+    steps = np.asarray(step, dtype=float)
+    if steps.ndim and steps.shape != u.shape[:-2]:
+        raise ValueError(f"shape mismatch: steps {steps.shape} for stack {u.shape}")
+    if not np.all(steps > 0):
         raise ValueError(f"step must be positive, got {step}")
-    utg = u.T @ grad
-    tangent = grad - u @ ((utg + utg.T) / 2.0)
-    return orthonormalize(u - step * tangent)
+    utg = u.swapaxes(-1, -2) @ grad
+    tangent = grad - u @ ((utg + utg.swapaxes(-1, -2)) / 2.0)
+    return orthonormalize(u - steps[..., None, None] * tangent)

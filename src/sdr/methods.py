@@ -15,8 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .data import Dataset, FittedReducer, json_safe, reduce
-from .intrinsic import (fit_barshan_extended, fit_lspca, fit_pls_extended,
-                        fit_sppca)
+from .intrinsic import (fit_barshan_extended, fit_lspca, fit_lspca_grid,
+                        fit_pls_extended, fit_sppca)
 from .regression import RegressionModel, mse, ols_fit
 from .wrappers import fit_bair, fit_pcps, fit_pv
 
@@ -28,6 +28,11 @@ DEFAULT_GAMMA_GRID = (0.0,) + tuple(np.logspace(-4.0, 4.0, 15)) + (math.inf,)
 GAMMA_NONNEGATIVE = "[0, inf]"
 GAMMA_POSITIVE = "(0, inf]"
 
+#: Validation MSEs within this relative distance of the best count as tied;
+#: the earliest grid point among them wins.  At K = P every gamma spans the
+#: whole space and the MSEs differ only by rounding.
+TIE_RTOL = 1e-10
+
 
 @dataclass(frozen=True)
 class Method:
@@ -36,11 +41,19 @@ class Method:
     ``fit(train, k, gamma, **opts)`` returns the fitted reducer, or None for
     the raw-feature baseline; the ``score`` option reaches the methods that
     rank variables.  ``gamma`` is the gamma domain, or None for a method
-    without gamma (its fit ignores the argument).
+    without gamma (its fit ignores the argument).  ``fit_grid(train, k,
+    gammas)``, when given, fits a whole gamma grid at once (see ``fit_all``).
     """
 
     fit: Callable[..., FittedReducer | None]
     gamma: str | None = None
+    fit_grid: Callable[..., list] | None = None
+
+    def fit_all(self, train: Dataset, k: int, gammas) -> list:
+        """The reducers at every gamma of ``gammas``, in grid order."""
+        if self.fit_grid is not None:
+            return self.fit_grid(train, k, gammas)
+        return [self.fit(train, k, gamma) for gamma in gammas]
 
     def tuning_grid(self, grid) -> list:
         """The grid points inside the domain.  gamma = 0 is dropped from an
@@ -71,7 +84,8 @@ METHODS = {
     "barshan": Method(lambda d, k, g, **opts: fit_barshan_extended(d, k, g),
                       GAMMA_NONNEGATIVE),
     "lspca": Method(lambda d, k, g, **opts: fit_lspca(d, k, g)[0],
-                    GAMMA_POSITIVE),
+                    GAMMA_POSITIVE,
+                    fit_grid=lambda d, k, gs: [r for r, _ in fit_lspca_grid(d, k, gs)]),
     "sppca": Method(lambda d, k, g, **opts: fit_sppca(d, k)),
 }
 
@@ -109,16 +123,21 @@ def _tune_gamma(name: str, entry: Method, train: Dataset, val: Dataset | None,
                 k: int, grid) -> MethodFit:
     if val is None:
         raise ValueError(f"{name} needs a validation split to choose gamma")
-    best = None
-    for gamma in entry.tuning_grid(grid):
-        fit = with_model(name, entry.fit(train, k, gamma), train)
+    gammas = entry.tuning_grid(grid)
+    if not gammas:
+        raise ValueError(f"{name}: no gamma in the grid lies in its domain "
+                         f"{entry.gamma}")
+    scored = []
+    for gamma, reducer in zip(gammas, entry.fit_all(train, k, gammas)):
+        fit = with_model(name, reducer, train)
         val_mse = fit.evaluate(val)
-        if math.isfinite(val_mse) and (best is None or val_mse < best[0]):
-            best = (val_mse, gamma, fit)
-    if best is None:
+        if math.isfinite(val_mse):
+            scored.append((val_mse, gamma, fit))
+    if not scored:
         raise ValueError(f"{name}: no gamma in the grid gives a finite "
                          "validation MSE")
-    val_mse, gamma, fit = best
+    cutoff = min(s[0] for s in scored) * (1.0 + TIE_RTOL)
+    val_mse, gamma, fit = next(s for s in scored if s[0] <= cutoff)
     fit.hyperparams.update({"gamma": gamma, "val_mse": val_mse})
     return fit
 

@@ -399,13 +399,14 @@ def gamma_sweep(config: SweepConfig) -> list[SweepCurves]:
             vals = [fit_method(name, train, val, config.k).evaluate(test)
                     for train, val, test in trials]
             refs[name] = float(np.mean(vals))
-        per_method = {name: [] for name in SWEEP_METHODS}
-        for gamma in config.grid:
-            for name in SWEEP_METHODS:
-                fit = METHODS[name].fit
-                vals = [with_model(name, fit(train, config.k, gamma), train)
-                        .evaluate(test) for train, _, test in trials]
-                per_method[name].append(float(np.mean(vals)))
+        per_method = {}
+        for name in SWEEP_METHODS:
+            # test MSE per trial (rows) and gamma (columns)
+            vals = [[with_model(name, reducer, train).evaluate(test)
+                     for reducer in METHODS[name].fit_all(train, config.k,
+                                                          config.grid)]
+                    for train, _, test in trials]
+            per_method[name] = [float(np.mean(col)) for col in zip(*vals)]
         curves.append(SweepCurves(alignment=alignment,
                                   gammas=[float(g) for g in config.grid],
                                   test_mse=per_method,

@@ -140,6 +140,76 @@ class TestStiefelStep:
         up = stiefel_step(u, g, 1.0)
         assert np.linalg.norm(up.T @ up - np.eye(2)) <= 1e-8
 
+    @settings(deadline=None, max_examples=40)
+    @given(scales=st.lists(st.floats(min_value=-8, max_value=9), min_size=1,
+                           max_size=5),
+           seed=st.integers(0, 999))
+    def test_stack_on_manifold_for_any_gradient_magnitude(self, scales, seed):
+        rng = np.random.default_rng(seed)
+        g = len(scales)
+        u = orthonormalize(rng.standard_normal((g, 5, 2)))
+        grad = rng.standard_normal((g, 5, 2)) * 10.0 ** np.array(scales)[:, None, None]
+        steps = 10.0 ** rng.uniform(-3.0, 1.0, g)
+        up = stiefel_step(u, grad, steps)
+        assert up.shape == (g, 5, 2)
+        gram = np.swapaxes(up, -1, -2) @ up
+        assert np.abs(gram - np.eye(2)).max() <= 1e-8
+
+
+class TestStackedKernels:
+    def _stack(self, seed, g=4, p=12, k=3):
+        rng = np.random.default_rng(seed)
+        u = np.stack([orthonormalize(rng.standard_normal((p, k)))
+                      for _ in range(g)])
+        return u, rng.standard_normal((g, p, k)), 10.0 ** rng.uniform(-3, 1, g)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_stiefel_slices_match_2d_calls(self, seed):
+        u, grad, steps = self._stack(seed)
+        stacked = stiefel_step(u, grad, steps)
+        for i in range(len(steps)):
+            np.testing.assert_allclose(stacked[i],
+                                       stiefel_step(u[i], grad[i], steps[i]),
+                                       rtol=0, atol=1e-14)
+
+    def test_scalar_step_applies_to_every_slice(self):
+        u, grad, _ = self._stack(10)
+        stacked = stiefel_step(u, grad, 0.3)
+        for i in range(len(u)):
+            np.testing.assert_allclose(stacked[i], stiefel_step(u[i], grad[i], 0.3),
+                                       rtol=0, atol=1e-14)
+
+    def test_orthonormalize_slices_match_2d_calls(self):
+        m = np.random.default_rng(11).standard_normal((3, 7, 4))
+        stacked = orthonormalize(m)
+        for i in range(3):
+            np.testing.assert_allclose(stacked[i], orthonormalize(m[i]),
+                                       rtol=0, atol=1e-14)
+
+    def test_one_rank_deficient_slice_raises(self):
+        m = np.random.default_rng(12).standard_normal((3, 5, 3))
+        m[1, :, 2] = m[1, :, 0] - 2.0 * m[1, :, 1]
+        with pytest.raises(RankDeficientError) as exc:
+            orthonormalize(m)
+        assert exc.value.column == 2
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan])
+    def test_nonpositive_step_in_any_slice_raises(self, bad):
+        u, grad, steps = self._stack(13)
+        steps[2] = bad
+        with pytest.raises(ValueError, match="positive"):
+            stiefel_step(u, grad, steps)
+
+    def test_step_count_mismatch_raises(self):
+        u, grad, steps = self._stack(14)
+        with pytest.raises(ValueError, match="mismatch"):
+            stiefel_step(u, grad, steps[:-1])
+
+    def test_stack_shape_mismatch_raises(self):
+        u, grad, steps = self._stack(15)
+        with pytest.raises(ValueError, match="mismatch"):
+            stiefel_step(u, grad[:-1], steps)
+
 
 def test_eigenpairs_is_plain_record():
     pairs = EigenPairs(values=np.array([1.0]), vectors=np.array([[1.0]]))

@@ -90,6 +90,33 @@ class TestGammaTuning:
         assert fit.hyperparams["gamma"] != DEFAULT_GAMMA_GRID[0]
         assert math.isfinite(fit.hyperparams["val_mse"])
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("name", ["pls", "barshan", "lspca"])
+    def test_full_rank_k_picks_first_in_domain_gamma(self, name, seed):
+        # at K = P every gamma spans the whole space: validation MSEs differ
+        # by rounding only, so the earliest in-domain grid point wins
+        train, val = _train_val(seed, n=60, p=6)
+        fit = fit_method(name, train, val, 6)
+        assert fit.hyperparams["gamma"] == \
+            METHODS[name].tuning_grid(DEFAULT_GAMMA_GRID)[0]
+
+    def test_near_ties_go_to_the_earliest_gamma(self, monkeypatch):
+        train, val = _train_val()
+        mses = iter([2.0, 1.0 + 5e-11, 1.0, 1.0 + 2e-10] + [3.0] * 20)
+        monkeypatch.setattr(methods, "mse", lambda pred, truth: next(mses))
+        fit = fit_method("pls", train, val, 2)
+        assert fit.hyperparams["gamma"] == DEFAULT_GAMMA_GRID[1]
+        assert fit.hyperparams["val_mse"] == 1.0 + 5e-11
+
+    def test_empty_in_domain_grid_names_method_and_domain(self, monkeypatch):
+        train, val = _train_val()
+        fitted = []
+        monkeypatch.setattr(methods, "fit_lspca_grid",
+                            lambda *args: fitted.append(args) or [])
+        with pytest.raises(ValueError, match=r"lspca.*\(0, inf\]"):
+            fit_method("lspca", train, val, 2, gamma_grid=(0.0,))
+        assert not fitted
+
     def test_needs_validation_split(self):
         train, _ = _train_val()
         with pytest.raises(ValueError, match="validation"):
