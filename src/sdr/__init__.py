@@ -10,10 +10,11 @@ from .data import (CenteringTransform, Dataset, FittedReducer, IngestError,
                    load_csv, reduce, reducer_from_json, reducer_to_json)
 from .intrinsic import (LspcaOptions, LspcaSolution, SppcaOptions,
                         fit_barshan_extended, fit_lspca, fit_lspca_grid,
-                        fit_pls_extended, fit_sppca, predict_sppca)
+                        fit_pls_extended, fit_pls_grid, fit_sppca,
+                        predict_sppca)
 from .linalg import (DegenerateDirectionError, EigenPairs,
                      IterationLimitError, RankDeficientError, orthonormalize,
-                     stiefel_step, sym_eig_topk)
+                     stiefel_step, sym_eig_top1, sym_eig_topk)
 from .methods import (DEFAULT_GAMMA_GRID, DEFAULT_METHODS, METHODS, Method,
                       MethodFit, fit_method)
 from .regression import RegressionModel, mse, ols_fit

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, FittedReducer, SppcaState, reduce
-from .linalg import (DegenerateDirectionError, fix_signs, orthonormalize,
-                     stiefel_step, sym_eig_topk)
+from .linalg import (KRYLOV_CAP, DegenerateDirectionError, fix_signs,
+                     orthonormalize, stiefel_step, sym_eig_top1, sym_eig_topk)
 
 _W_TOL = 1e-13  # relative threshold under which X^T y counts as zero
 
@@ -87,31 +87,86 @@ def fit_pls_extended(data: Dataset, k: int, gamma: float) -> FittedReducer:
     deflated by the score outer product and y by its projection onto the
     score.  gamma = 0 is classic PLS: the direction solves
     max_(|u|=1) ((X u)^T y)^2, whose closed form is the normalized X^T y.
+
+    This is the one-gamma call of ``fit_pls_grid``.
     """
-    gamma = _check_gamma(gamma)
-    x, y = data.X, data.y
-    if k > data.p:
-        raise ValueError(f"K={k} exceeds P={data.p}")
-    xk, yk = x.copy(), y.copy()
-    cols = []
+    return fit_pls_grid(data, k, [gamma])[0]
+
+
+def fit_pls_grid(data: Dataset, k: int, gammas) -> list[FittedReducer]:
+    """Extended PLS at every gamma of a grid, in grid order, each as
+    ``fit_pls_extended`` describes it.
+
+    The fits advance one component per round: every gamma > 0 still running
+    contributes its matrix w w^T + gamma X_k^T X_k (X_k^T X_k at gamma =
+    inf) to one ``sym_eig_top1`` stack.  Each fit keeps its own deflation
+    and degeneracy checks; if any fit raises, the error of the first gamma
+    in grid order that raises is raised, as a loop over the grid would.
+
+    The lock-step pays only when the slices take the Lanczos path.  With P
+    no larger than ``KRYLOV_CAP`` every slice is a dense ``eigh`` anyway, so
+    the gammas run one at a time and hold one deflated X, not one each.
+    """
+    gammas = list(gammas)
+    batch = len(gammas) if data.p > KRYLOV_CAP else 1
+    fits = []
+    for first in range(0, len(gammas), max(batch, 1)):
+        fits += _pls_lockstep(data, k, gammas[first:first + batch])
+    return fits
+
+
+def _pls_lockstep(data: Dataset, k: int, gammas: list) -> list[FittedReducer]:
+    """The fits of ``gammas`` in lock-step, as ``fit_pls_grid`` describes."""
+    errors: dict[int, Exception] = {}  # grid index -> the error it raised
+    checked = []
+    for i, gamma in enumerate(gammas):
+        try:
+            gamma = _check_gamma(gamma)
+            if k > data.p:
+                raise ValueError(f"K={k} exceeds P={data.p}")
+        except ValueError as exc:
+            # the gammas after the first failing one cannot change the outcome
+            errors[i] = exc
+            break
+        checked.append(gamma)
+    live = list(range(len(checked)))
+    # _deflate returns new arrays, so every fit starts from the data itself
+    xk = [data.X] * len(checked)
+    yk = [data.y] * len(checked)
+    cols: list[list] = [[] for _ in checked]
     for it in range(1, k + 1):
-        if gamma == 0.0:
-            u = _supervised_direction(xk, yk, it)
-        else:
-            cov = xk.T @ xk
-            if math.isinf(gamma):
-                m = cov
+        stacked = [i for i in live if checked[i] > 0.0]
+        mats = np.empty((len(stacked), data.p, data.p))
+        for j, i in enumerate(stacked):
+            cov = xk[i].T @ xk[i]
+            if math.isinf(checked[i]):
+                mats[j] = cov
             else:
-                w = xk.T @ yk
-                m = np.outer(w, w) + gamma * cov
-            pairs = sym_eig_topk(m, 1)
-            if pairs.values[0] <= 0.0:
-                raise DegenerateDirectionError(it, f"deflated data vanished at iteration {it}")
-            u = pairs.vectors[:, 0]
-        cols.append(u)
-        xk, yk = _deflate(xk, yk, u, it)
-    return FittedReducer("pls", k, basis=np.column_stack(cols),
-                         hyperparams={"gamma": gamma})
+                w = xk[i].T @ yk[i]
+                mats[j] = np.outer(w, w) + checked[i] * cov
+        if stacked:
+            values, vectors = sym_eig_top1(mats)
+        top = {i: j for j, i in enumerate(stacked)}
+        for i in live:
+            try:
+                if i in top:
+                    if values[top[i]] <= 0.0:
+                        raise DegenerateDirectionError(
+                            it, f"deflated data vanished at iteration {it}")
+                    u = vectors[top[i]]
+                else:
+                    u = _supervised_direction(xk[i], yk[i], it)
+                cols[i].append(u)
+                xk[i], yk[i] = _deflate(xk[i], yk[i], u, it)
+            except DegenerateDirectionError as exc:
+                errors[i] = exc
+                break
+        live = [i for i in live if i < min(errors, default=len(checked))]
+    if errors:
+        raise errors[min(errors)]
+    return [FittedReducer("pls", k, basis=np.column_stack(cols[i]),
+                          hyperparams={"gamma": gamma})
+            for i, gamma in enumerate(checked)]
 
 
 def fit_barshan_extended(data: Dataset, k: int, gamma: float) -> FittedReducer:
@@ -262,6 +317,7 @@ def fit_lspca_grid(data: Dataset, k: int, gammas,
     gam = np.array([checked[i] for i in slots])
     u = np.repeat(start[None], m, axis=0)
     beta, f_start, cu = evaluate(u, gam)
+    grad = _lspca_gradient(cu, beta, w, gam)
     f = f_start.tolist()
     traces = [[v] for v in f]
     step = [float(opts.initial_step)] * m
@@ -279,11 +335,11 @@ def fit_lspca_grid(data: Dataset, k: int, gammas,
             slots, f, traces, step, n_iters, converged = (
                 [seq[j] for j in keep]
                 for seq in (slots, f, traces, step, n_iters, converged))
-            u, beta, cu, gam = (arr[keep] for arr in (u, beta, cu, gam))
+            u, beta, cu, grad, gam = (arr[keep] for arr in (u, beta, cu, grad, gam))
             stop = set()
         if not slots:
             return results
-        u_trial = stiefel_step(u, _lspca_gradient(cu, beta, w, gam), step)
+        u_trial = stiefel_step(u, grad, step)
         beta_trial, f_trial, cu_trial = evaluate(u_trial, gam)
         accepted = []
         for j, f_new in enumerate(f_trial.tolist()):
@@ -305,10 +361,18 @@ def fit_lspca_grid(data: Dataset, k: int, gammas,
                 stop.add(j)
             else:
                 n_iters[j] += 1
-        take = np.array(accepted)[:, None, None]
-        u = np.where(take, u_trial, u)
-        cu = np.where(take, cu_trial, cu)
-        beta = np.where(take[:, :, 0], beta_trial, beta)
+        # only the accepted fits moved: their stacks and gradients change
+        # (in place when some fits moved: a recorded result holds a view of
+        # a stack the compaction above has already replaced)
+        took = np.flatnonzero(accepted)
+        if took.size == len(slots):
+            u, cu, beta = u_trial, cu_trial, beta_trial
+            grad = _lspca_gradient(cu, beta, w, gam)
+        elif took.size:
+            u[took] = u_trial[took]
+            cu[took] = cu_trial[took]
+            beta[took] = beta_trial[took]
+            grad[took] = _lspca_gradient(cu[took], beta[took], w, gam[took])
 
 
 def _lspca_result(k: int, gamma: float, basis: np.ndarray, beta: np.ndarray,
@@ -359,11 +423,10 @@ class SppcaOptions:
     variance_floor: float = 1e-12
 
 
-def _sppca_loglik(x, y, u, v, sx2, sy2) -> float:
-    """Marginal Gaussian log-likelihood of stacked (x, y) observations."""
-    n, p = x.shape
+def _sppca_loglik(t, u, v, sx2, sy2) -> float:
+    """Marginal Gaussian log-likelihood of the observations t = [x, y]."""
+    n, p = t.shape[0], t.shape[1] - 1
     k = u.shape[1]
-    t = np.concatenate([x, y[:, None]], axis=1)
     wmat = np.concatenate([u, v[None, :]], axis=0)
     psi = np.concatenate([np.full(p, sx2), [sy2]])
     b = np.eye(k) + (wmat.T / psi) @ wmat
@@ -408,7 +471,10 @@ def fit_sppca(data: Dataset, k: int, opts: SppcaOptions | None = None) -> Fitted
     sy2 = max(float(resid @ resid) / n, 1e-8)
 
     eye_k = np.eye(k)
-    ll_prev = _sppca_loglik(x, y, u, v, sx2, sy2)
+    t = np.concatenate([x, y[:, None]], axis=1)
+    xx = float(np.sum(x * x))
+    yy = float(y @ y)
+    ll_prev = _sppca_loglik(t, u, v, sx2, sy2)
     ll_trace = [ll_prev]
     floored = False
     converged = False
@@ -424,14 +490,14 @@ def fit_sppca(data: Dataset, k: int, opts: SppcaOptions | None = None) -> Fitted
         xtm = x.T @ m
         u = np.linalg.solve(s, xtm.T).T
         v = np.linalg.solve(s, m.T @ y)
-        sx2_new = (float(np.sum(x * x)) - float(np.sum(u * xtm))) / (n * p)
-        sy2_new = (float(y @ y) - float(v @ (m.T @ y))) / n
+        sx2_new = (xx - float(np.sum(u * xtm))) / (n * p)
+        sy2_new = (yy - float(v @ (m.T @ y))) / n
         floored_now = sx2_new < opts.variance_floor or sy2_new < opts.variance_floor
         floored = floored or floored_now
         sx2 = max(sx2_new, opts.variance_floor)
         sy2 = max(sy2_new, opts.variance_floor)
 
-        ll = _sppca_loglik(x, y, u, v, sx2, sy2)
+        ll = _sppca_loglik(t, u, v, sx2, sy2)
         ll_trace.append(ll)
         if ll < ll_prev - 1e-8 * max(1.0, abs(ll_prev)) and not floored_now:
             raise RuntimeError(f"EM log-likelihood decreased at iteration "

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset, FittedReducer, json_safe, reduce
 from .intrinsic import (fit_barshan_extended, fit_lspca, fit_lspca_grid,
-                        fit_pls_extended, fit_sppca)
+                        fit_pls_extended, fit_pls_grid, fit_sppca)
 from .regression import RegressionModel, mse, ols_fit
 from .wrappers import fit_bair, fit_pcps, fit_pv
 
@@ -80,7 +80,8 @@ METHODS = {
     "pv": Method(lambda d, k, g, **opts: fit_pv(d, k, **opts)),
     "pcps": Method(lambda d, k, g, **opts: fit_pcps(d, k, **opts)),
     "pls": Method(lambda d, k, g, **opts: fit_pls_extended(d, k, g),
-                  GAMMA_NONNEGATIVE),
+                  GAMMA_NONNEGATIVE,
+                  fit_grid=lambda d, k, gs: fit_pls_grid(d, k, gs)),
     "barshan": Method(lambda d, k, g, **opts: fit_barshan_extended(d, k, g),
                       GAMMA_NONNEGATIVE),
     "lspca": Method(lambda d, k, g, **opts: fit_lspca(d, k, g)[0],

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Dataset, FittedReducer, PVStep
-from .linalg import DegenerateDirectionError, sym_eig_topk
+from .linalg import DegenerateDirectionError, sym_eig_top1, sym_eig_topk
 from .regression import mse, ols_fit
 
 SCORE_KINDS = ("covariance", "pearson")
@@ -107,11 +107,15 @@ def fit_pv(data: Dataset, k: int, score: str = "pearson",
     for it in range(1, k + 1):
         _, order = score_variables(xk, y, score)
         cov = xk.T @ xk
+        # the candidates' submatrices are the leading blocks of the ordered
+        # covariance: one stacked top-eigenvector solve covers them all
+        lead = order[:m_cap]
+        _, directions = sym_eig_top1(cov[np.ix_(lead, lead)],
+                                     sizes=np.arange(1, m_cap + 1))
         best = None  # (pearson score of z vs y, m, indices, direction, z)
         for m in range(1, m_cap + 1):
             idx = order[:m]
-            pairs = sym_eig_topk(cov[np.ix_(idx, idx)], 1)
-            direction = pairs.vectors[:, 0]
+            direction = directions[m - 1, :m]
             z = xk[:, idx] @ direction
             if float(z @ z) <= dust_sq:
                 continue
@@ -124,7 +128,8 @@ def fit_pv(data: Dataset, k: int, score: str = "pearson",
         _, m, idx, direction, z = best
         z_sq = float(z @ z)
         b = xk.T @ z / z_sq
-        steps.append(PVStep(indices=idx, direction=direction, deflation=b))
+        steps.append(PVStep(indices=idx, direction=direction.copy(),
+                            deflation=b))
         m_chosen.append(m)
         xk = xk - np.outer(z, b)
     return FittedReducer("pv", k, pv_state=steps,
