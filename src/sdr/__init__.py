@@ -16,7 +16,7 @@ from .linalg import (DegenerateDirectionError, EigenPairs,
                      IterationLimitError, RankDeficientError, orthonormalize,
                      stiefel_step, sym_eig_top1, sym_eig_topk)
 from .methods import (DEFAULT_GAMMA_GRID, DEFAULT_METHODS, METHODS, Method,
-                      MethodFit, fit_method)
+                      MethodFit, fit_method, fit_sweep)
 from .regression import RegressionModel, mse, ols_fit
 from .simulation import (BenchConfig, BenchReport, SpectrumSpec, SweepConfig,
                          TrialSpec, gamma_sweep, generate_trial,

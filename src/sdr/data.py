@@ -14,6 +14,10 @@ STATE_KINDS = {"pca": "basis", "bair": "basis", "pv": "pv_state",
                "pcps": "basis", "pls": "basis", "barshan": "basis",
                "lspca": "basis", "sppca": "sppca_state"}
 
+#: Hyperparams holding one entry per component, in component order.
+PER_COMPONENT_HYPERPARAMS = ("m_per_component", "selected_components",
+                             "component_scores")
+
 ORTHONORMAL_TOL = 1e-8
 
 
@@ -198,6 +202,28 @@ class FittedReducer:
                 raise ValueError("pv_state length must equal K")
         elif self.sppca_state.loadings.shape[1] != self.k:
             raise ValueError("loadings width must equal K")
+
+    def prefix(self, k: int) -> "FittedReducer":
+        """The first k components: basis columns or PV steps, with the
+        per-component hyperparams cut to match.
+
+        For a method whose fit at K is the first K components of its fit at
+        any larger K (see ``Method.nested``), this is the fit at k.  The
+        basis copy keeps the fit's memory layout, so products with it round
+        as a fresh fit's do.
+        """
+        if not 1 <= k <= self.k:
+            raise ValueError(f"prefix K={k} must lie in [1, {self.k}]")
+        if self.sppca_state is not None:
+            raise ValueError("an SPPCA fit has no component prefix")
+        hyper = {key: val[:k] if key in PER_COMPONENT_HYPERPARAMS else val
+                 for key, val in self.hyperparams.items()}
+        if self.basis is not None:
+            return FittedReducer(self.method, k,
+                                 basis=self.basis[:, :k].copy(order="K"),
+                                 hyperparams=hyper)
+        return FittedReducer(self.method, k, pv_state=self.pv_state[:k],
+                             hyperparams=hyper)
 
     @property
     def p(self) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -43,11 +44,15 @@ class Method:
     rank variables.  ``gamma`` is the gamma domain, or None for a method
     without gamma (its fit ignores the argument).  ``fit_grid(train, k,
     gammas)``, when given, fits a whole gamma grid at once (see ``fit_all``).
+    ``nested`` marks a method whose fit at K is ``FittedReducer.prefix(K)``
+    of its fit at any larger K, bit for bit, so a K sweep fits it once (see
+    ``fit_sweep``).
     """
 
     fit: Callable[..., FittedReducer | None]
     gamma: str | None = None
     fit_grid: Callable[..., list] | None = None
+    nested: bool = False
 
     def fit_all(self, train: Dataset, k: int, gammas) -> list:
         """The reducers at every gamma of ``gammas``, in grid order."""
@@ -73,15 +78,19 @@ def pca_reducer(data: Dataset, k: int) -> FittedReducer:
 
 # Entries call the fit functions through this module's globals at call time,
 # so a function rebound here (e.g. by a tracer) is the one that runs.
+# Barshan is not nested: at gamma = 0 its completion orthonormalizes the
+# trailing columns together, and the first columns of that are not bitwise
+# the completion at a smaller K.
 METHODS = {
-    "ols": Method(lambda d, k, g, **opts: None),
-    "pca": Method(lambda d, k, g, **opts: pca_reducer(d, k)),
+    "ols": Method(lambda d, k, g, **opts: None, nested=True),
+    "pca": Method(lambda d, k, g, **opts: pca_reducer(d, k), nested=True),
     "bair": Method(lambda d, k, g, **opts: fit_bair(d, k, **opts)),
-    "pv": Method(lambda d, k, g, **opts: fit_pv(d, k, **opts)),
-    "pcps": Method(lambda d, k, g, **opts: fit_pcps(d, k, **opts)),
+    "pv": Method(lambda d, k, g, **opts: fit_pv(d, k, **opts), nested=True),
+    "pcps": Method(lambda d, k, g, **opts: fit_pcps(d, k, **opts), nested=True),
     "pls": Method(lambda d, k, g, **opts: fit_pls_extended(d, k, g),
                   GAMMA_NONNEGATIVE,
-                  fit_grid=lambda d, k, gs: fit_pls_grid(d, k, gs)),
+                  fit_grid=lambda d, k, gs: fit_pls_grid(d, k, gs),
+                  nested=True),
     "barshan": Method(lambda d, k, g, **opts: fit_barshan_extended(d, k, g),
                       GAMMA_NONNEGATIVE),
     "lspca": Method(lambda d, k, g, **opts: fit_lspca(d, k, g)[0],
@@ -120,16 +129,23 @@ def with_model(method: str, reducer: FittedReducer | None,
     return MethodFit(method, reducer, ols_fit(z, train.y), hyper)
 
 
-def _tune_gamma(name: str, entry: Method, train: Dataset, val: Dataset | None,
-                k: int, grid) -> MethodFit:
+def _tuning_gammas(name: str, entry: Method, val: Dataset | None,
+                   grid) -> list:
     if val is None:
         raise ValueError(f"{name} needs a validation split to choose gamma")
     gammas = entry.tuning_grid(grid)
     if not gammas:
         raise ValueError(f"{name}: no gamma in the grid lies in its domain "
                          f"{entry.gamma}")
+    return gammas
+
+
+def _select_gamma(name: str, gammas: list, reducers: list, train: Dataset,
+                  val: Dataset) -> MethodFit:
+    """The fit whose reducer scores the lowest finite validation MSE, the
+    earliest grid point among those tied within ``TIE_RTOL``."""
     scored = []
-    for gamma, reducer in zip(gammas, entry.fit_all(train, k, gammas)):
+    for gamma, reducer in zip(gammas, reducers):
         fit = with_model(name, reducer, train)
         val_mse = fit.evaluate(val)
         if math.isfinite(val_mse):
@@ -155,8 +171,48 @@ def fit_method(name: str, train: Dataset, val: Dataset | None, k: int, *,
     if entry is None:
         raise ValueError(f"unknown method {name!r}")
     if entry.gamma is not None:
-        return _tune_gamma(name, entry, train, val, k, gamma_grid)
+        gammas = _tuning_gammas(name, entry, val, gamma_grid)
+        return _select_gamma(name, gammas, entry.fit_all(train, k, gammas),
+                             train, val)
     return with_model(name, entry.fit(train, k, None, score=score), train)
+
+
+def fit_sweep(name: str, train: Dataset, val: Dataset | None, ks, *,
+              score: str = "pearson",
+              gamma_grid=DEFAULT_GAMMA_GRID) -> dict:
+    """``{k: thunk}`` over ``ks``: each thunk returns what ``fit_method(name,
+    train, val, k, ...)`` returns, or raises what it raises.
+
+    A nested method is fitted once at ``max(ks)`` (a whole gamma grid for
+    a tuned one) and each K takes the prefixes; gamma is then chosen per K
+    on them.  Every other method, and a nested one whose shared fit raises,
+    is fitted per K by ``fit_method``, so every error text and every
+    partial success across the K range is the per-K one.
+    """
+    ks = list(ks)
+    per_k = {k: partial(fit_method, name, train, val, k, score=score,
+                        gamma_grid=gamma_grid) for k in ks}
+    entry = METHODS.get(name)
+    if entry is None or not entry.nested or not ks:
+        return per_k
+    k_max = max(ks)
+    try:
+        if entry.gamma is None:
+            shared = entry.fit(train, k_max, None, score=score)
+        else:
+            gammas = _tuning_gammas(name, entry, val, gamma_grid)
+            shared = entry.fit_all(train, k_max, gammas)
+    except Exception:  # the per-K fits reproduce it, K by K
+        return per_k
+    if entry.gamma is None:
+        def fit_k(k):
+            reducer = None if shared is None else shared.prefix(k)
+            return with_model(name, reducer, train)
+    else:
+        def fit_k(k):
+            return _select_gamma(name, gammas, [r.prefix(k) for r in shared],
+                                 train, val)
+    return {k: partial(fit_k, k) for k in ks}
 
 
 def attempt_fit(fit: Callable[[], MethodFit], train: Dataset,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import Dataset, IngestError, center_dataset, fit_centering, load_csv
 from .methods import (DEFAULT_GAMMA_GRID, DEFAULT_METHODS, attempt_fit,
-                      fit_method)
+                      fit_sweep)
 from .linalg import sym_eig_topk
 
 
@@ -73,6 +73,9 @@ def run_real_data(config: RealDataConfig) -> RealDataResult:
         raise IngestError(f"{n} data rows split into {len(fit_idx)} fit, "
                           f"{n_val} validation and {n_test} test rows; "
                           "each split needs at least 2")
+    if config.k_min > p:
+        raise IngestError(f"smallest K={config.k_min} exceeds P={p}, the "
+                          "number of feature columns")
 
     raw_fit, raw_val, raw_test = (Dataset(data.X[idx], data.y[idx])
                                   for idx in (fit_idx, val_idx, test_idx))
@@ -82,14 +85,18 @@ def run_real_data(config: RealDataConfig) -> RealDataResult:
 
     spectrum = sym_eig_topk(train.X.T @ train.X, p).values
     k_max = p if config.k_max is None else min(config.k_max, p)
+    ks = range(config.k_min, k_max + 1)
     result = RealDataResult(feature_names=names, n_train=n_train,
                             n_test=n_test, spectrum=spectrum)
-    for k in range(config.k_min, k_max + 1):
+    # each method is set up once for the whole K range; points stay in
+    # (K, method) order
+    sweeps = {method: fit_sweep(method, train, val, ks, score=config.score,
+                                gamma_grid=config.gamma_grid)
+              for method in config.methods}
+    for k in ks:
         for method in config.methods:
             result.points.append(CurvePoint(method, k, *attempt_fit(
-                lambda: fit_method(method, train, val, k, score=config.score,
-                                   gamma_grid=config.gamma_grid),
-                train, test)))
+                sweeps[method][k], train, test)))
     return result
 
 

@@ -148,6 +148,15 @@ class TestRealData:
         err = capsys.readouterr().err
         assert "3 fit, 1 validation and 1 test rows" in err
 
+    def test_smallest_k_above_p_exit_2(self, tmp_path, capsys):
+        csv_path = _toy_csv(tmp_path)
+        out = tmp_path / "o"
+        code = main(["real-data", "--data", str(csv_path), "--response",
+                     "target", "--k", "5", "--out", str(out)])
+        assert code == 2
+        assert "K=5 exceeds P=3" in capsys.readouterr().err
+        assert not (out / "curves.csv").exists()
+
 
 class TestOracleCheck:
     def test_passes_within_time_budget(self, capsys):
