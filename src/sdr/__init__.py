@@ -6,7 +6,7 @@ protocols for synthetic and real data.
 """
 
 from .data import (CenteringTransform, Dataset, FittedReducer, IngestError,
-                   PVStep, SppcaState, center_dataset, fit_centering,
+                   Moments, PVStep, SppcaState, center_dataset, fit_centering,
                    load_csv, reduce, reducer_from_json, reducer_to_json)
 from .intrinsic import (LspcaOptions, LspcaSolution, SppcaOptions,
                         fit_barshan_extended, fit_lspca, fit_lspca_grid,

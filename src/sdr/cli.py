@@ -174,6 +174,14 @@ def _alignments(opt) -> tuple:
     return (_ALIGNMENT_ALIASES[key],)
 
 
+def _config(make):
+    """``make()``, with a bad value in it reported as a usage error."""
+    try:
+        return make()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _out_dir(opt) -> Path:
     out = Path(opt.get("out", "sdr-out"))
     try:
@@ -187,19 +195,16 @@ def _cmd_simulate(args) -> int:
     opt = _Options(args)
     spectrum = opt.get("spectrum")
     ntrain = opt.get("ntrain")
-    try:
-        config = BenchConfig(
-            methods=_parse_methods(opt.get("methods")),
-            spectra=(spectrum,) if spectrum else SPECTRUM_KINDS,
-            alignments=_alignments(opt),
-            train_sizes=(int(ntrain),) if ntrain else (150, 1500),
-            n_trials=int(opt.get("trials", 20)),
-            k=int(opt.get("k", 15)),
-            gamma_grid=_parse_gammas(opt.get("gamma-grid"), DEFAULT_GAMMA_GRID),
-            seed=opt.seed(),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    config = _config(lambda: BenchConfig(
+        methods=_parse_methods(opt.get("methods")),
+        spectra=(spectrum,) if spectrum else SPECTRUM_KINDS,
+        alignments=_alignments(opt),
+        train_sizes=(int(ntrain),) if ntrain else (150, 1500),
+        n_trials=int(opt.get("trials", 20)),
+        k=int(opt.get("k", 15)),
+        gamma_grid=_parse_gammas(opt.get("gamma-grid"), DEFAULT_GAMMA_GRID),
+        seed=opt.seed(),
+    ))
     out = _out_dir(opt)
     report = run_benchmark(config)
     (out / "report.csv").write_text(report_to_csv(report), encoding="utf-8")
@@ -213,18 +218,15 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     opt = _Options(args)
-    try:
-        config = SweepConfig(
-            spectrum=opt.get("spectrum", "slow"),
-            alignments=_alignments(opt),
-            n_train=int(opt.get("ntrain", 150)),
-            n_trials=int(opt.get("trials", 10)),
-            k=int(opt.get("k", 15)),
-            grid=_parse_gammas(opt.get("gamma-grid"), DEFAULT_SWEEP_GRID),
-            seed=opt.seed(),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    config = _config(lambda: SweepConfig(
+        spectrum=opt.get("spectrum", "slow"),
+        alignments=_alignments(opt),
+        n_train=int(opt.get("ntrain", 150)),
+        n_trials=int(opt.get("trials", 10)),
+        k=int(opt.get("k", 15)),
+        grid=_parse_gammas(opt.get("gamma-grid"), DEFAULT_SWEEP_GRID),
+        seed=opt.seed(),
+    ))
     out = _out_dir(opt)
     curves = gamma_sweep(config)
     curve_csv, ref_csv = sweep_to_csv(curves)
@@ -243,20 +245,17 @@ def _cmd_real_data(args) -> int:
         raise ConfigError("real-data requires --data and --response")
     drop_raw = opt.get("drop")
     drop = tuple(s.strip() for s in str(drop_raw).split(",") if s.strip()) if drop_raw else ()
-    try:
-        config = RealDataConfig(
-            path=str(data_path),
-            response=str(response),
-            delimiter=str(opt.get("delimiter", ",")),
-            drop=drop,
-            methods=_parse_methods(opt.get("methods")),
-            k_min=int(opt.get("k", 1)),
-            k_max=int(opt.get("k-max")) if opt.get("k-max") is not None else None,
-            seed=opt.seed(),
-            gamma_grid=_parse_gammas(opt.get("gamma-grid"), DEFAULT_GAMMA_GRID),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    config = _config(lambda: RealDataConfig(
+        path=str(data_path),
+        response=str(response),
+        delimiter=str(opt.get("delimiter", ",")),
+        drop=drop,
+        methods=_parse_methods(opt.get("methods")),
+        k_min=int(opt.get("k", 1)),
+        k_max=int(opt.get("k-max")) if opt.get("k-max") is not None else None,
+        seed=opt.seed(),
+        gamma_grid=_parse_gammas(opt.get("gamma-grid"), DEFAULT_GAMMA_GRID),
+    ))
     out = _out_dir(opt)
     try:
         result = run_real_data(config)

@@ -6,6 +6,8 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +31,15 @@ class IngestError(ValueError):
         super().__init__(message)
         self.row = row
         self.column = column
+
+
+class Moments(NamedTuple):
+    """X^T X, X^T y, y^T y and the row count n of a dataset, read-only."""
+
+    xx: np.ndarray
+    xy: np.ndarray
+    yy: float
+    n: int
 
 
 @dataclass(frozen=True)
@@ -62,6 +73,13 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.X.shape[1]
+
+    @cached_property
+    def moments(self) -> Moments:
+        """Shared by every fit on this dataset; X and y must not change."""
+        xx, xy = self.X.T @ self.X, self.X.T @ self.y
+        xx.flags.writeable = xy.flags.writeable = False
+        return Moments(xx, xy, float(self.y @ self.y), self.n)
 
 
 @dataclass(frozen=True)
@@ -343,8 +361,8 @@ def load_csv(path, response: str, delimiter: str = ",",
     """Read a delimited file with a header row into a Dataset.
 
     The named response column becomes y; all remaining (non-dropped) columns
-    must be numeric and become the variables.  A non-numeric cell raises
-    IngestError carrying its 1-based data-row number and column name.
+    must be numeric and become the variables.  A non-numeric or non-finite
+    cell raises IngestError naming its 1-based data row and its column.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -361,7 +379,9 @@ def load_csv(path, response: str, delimiter: str = ",",
             raise IngestError(f"drop column(s) not found: {missing}")
         feat_cols = [(i, name) for i, name in enumerate(header)
                      if name != response and name not in drop]
-        y_idx = header.index(response)
+        if not feat_cols:
+            raise IngestError(f"no feature column left; dropped: {list(drop)}")
+        cells = feat_cols + [(header.index(response), response)]
         xs, ys = [], []
         for row_no, row in enumerate(reader, start=1):
             if not row or all(not c.strip() for c in row):
@@ -369,21 +389,18 @@ def load_csv(path, response: str, delimiter: str = ",",
             if len(row) != len(header):
                 raise IngestError(f"row {row_no}: expected {len(header)} fields, "
                                   f"got {len(row)}", row=row_no)
-            vals = []
-            for i, name in feat_cols:
+            vals = []  # the features, then the response
+            for i, name in cells:
                 try:
                     vals.append(float(row[i]))
+                    bad = None if math.isfinite(vals[-1]) else "non-finite"
                 except ValueError:
-                    raise IngestError(
-                        f"non-numeric cell at row {row_no}, column {name!r}: "
-                        f"{row[i]!r}", row=row_no, column=name) from None
-            try:
-                ys.append(float(row[y_idx]))
-            except ValueError:
-                raise IngestError(
-                    f"non-numeric cell at row {row_no}, column {response!r}: "
-                    f"{row[y_idx]!r}", row=row_no, column=response) from None
-            xs.append(vals)
+                    bad = "non-numeric"
+                if bad:
+                    raise IngestError(f"{bad} cell at row {row_no}, column {name!r}: "
+                                      f"{row[i]!r}", row=row_no, column=name)
+            xs.append(vals[:-1])
+            ys.append(vals[-1])
         if not xs:
             raise IngestError("no data rows")
     names = [name for _, name in feat_cols]

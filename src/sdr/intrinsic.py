@@ -15,14 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, FittedReducer, SppcaState, reduce
-from .linalg import (KRYLOV_CAP, DegenerateDirectionError, fix_signs,
+from .linalg import (DegenerateDirectionError, fix_signs,
                      orthonormalize, stiefel_step, sym_eig_top1, sym_eig_topk)
 
-_W_TOL = 1e-13  # relative threshold under which X^T y counts as zero
-
-
-def _pca_basis(cov: np.ndarray, k: int) -> np.ndarray:
-    return sym_eig_topk(cov, k).vectors
+_W_TOL = 1e-13  # relative threshold under which X^T y (or a PLS eigenvalue) is zero
 
 
 def _check_gamma(gamma: float) -> float:
@@ -32,10 +28,10 @@ def _check_gamma(gamma: float) -> float:
     return gamma
 
 
-def _supervised_direction(xk: np.ndarray, yk: np.ndarray, iteration: int) -> np.ndarray:
-    """Unit top eigenvector of X^T y y^T X, i.e. the normalized X^T y."""
-    w = xk.T @ yk
-    scale = np.linalg.norm(xk) * np.linalg.norm(yk)
+def _supervised_direction(w: np.ndarray, scale: float, iteration: int) -> np.ndarray:
+    """Unit top eigenvector of X^T y y^T X, i.e. the normalized w = X^T y;
+    w counts as zero below ``_W_TOL`` of ``scale``, the |X| |y| whose
+    round-off it carries."""
     norm = np.linalg.norm(w)
     if norm <= _W_TOL * max(scale, 1e-300):
         raise DegenerateDirectionError(iteration, f"X^T y vanishes at iteration {iteration}")
@@ -67,16 +63,20 @@ def _rank1_completed_basis(w: np.ndarray, cov: np.ndarray, k: int) -> np.ndarray
     return np.hstack([u1, orthonormalize(rest)])
 
 
-def _deflate(xk: np.ndarray, yk: np.ndarray, u: np.ndarray,
-             iteration: int) -> tuple[np.ndarray, np.ndarray]:
-    """Subtract the parts of X and y explained along direction u."""
-    z = xk @ u
-    z_sq = float(z @ z)
+def _deflate(cov: np.ndarray, w: np.ndarray, yy: float, u: np.ndarray,
+             iteration: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The moments (X^T X, X^T y, y^T y) after deflating X along direction
+    u and y along the score z = X u: X_k+1 = X_k (I - u u^T) and y_k+1 =
+    y_k - (y_k^T z / z^T z) z, in O(P^2) from the moments alone."""
+    cu = cov @ u
+    z_sq = float(u @ cu)
     if z_sq <= 0.0:
         raise DegenerateDirectionError(iteration, f"zero score vector at iteration {iteration}")
-    x_next = xk - np.outer(z, u)
-    y_next = yk - (float(yk @ z) / z_sq) * z
-    return x_next, y_next
+    zy = float(u @ w)
+    # (I - u u^T) C (I - u u^T) = C - (d u^T + u d^T), d = C u - (z^T z / 2) u,
+    # summed with its transpose so that the result is exactly symmetric
+    d_u = np.outer(cu - 0.5 * z_sq * u, u)
+    return cov - (d_u + d_u.T), w - (zy / z_sq) * cu, yy - zy * zy / z_sq
 
 
 def fit_pls_extended(data: Dataset, k: int, gamma: float) -> FittedReducer:
@@ -97,26 +97,15 @@ def fit_pls_grid(data: Dataset, k: int, gammas) -> list[FittedReducer]:
     """Extended PLS at every gamma of a grid, in grid order, each as
     ``fit_pls_extended`` describes it.
 
-    The fits advance one component per round: every gamma > 0 still running
-    contributes its matrix w w^T + gamma X_k^T X_k (X_k^T X_k at gamma =
-    inf) to one ``sym_eig_top1`` stack.  Each fit keeps its own deflation
-    and degeneracy checks; if any fit raises, the error of the first gamma
-    in grid order that raises is raised, as a loop over the grid would.
-
-    The lock-step pays only when the slices take the Lanczos path.  With P
-    no larger than ``KRYLOV_CAP`` every slice is a dense ``eigh`` anyway, so
-    the gammas run one at a time and hold one deflated X, not one each.
+    Every fit starts from the split's shared moments and deflates its own
+    copy of them (kernel PLS: Lindgren, Geladi & Wold, J. Chemometrics
+    1993; Dayal & MacGregor, J. Chemometrics 1997), so no step touches the
+    N rows.  The fits advance one component per round: every gamma > 0
+    still running contributes its matrix w w^T + gamma X_k^T X_k (X_k^T X_k
+    at gamma = inf) to one ``sym_eig_top1`` stack.  Each fit keeps its own
+    degeneracy checks; if any fit raises, the error of the first gamma in
+    grid order that raises is raised, as a loop over the grid would.
     """
-    gammas = list(gammas)
-    batch = len(gammas) if data.p > KRYLOV_CAP else 1
-    fits = []
-    for first in range(0, len(gammas), max(batch, 1)):
-        fits += _pls_lockstep(data, k, gammas[first:first + batch])
-    return fits
-
-
-def _pls_lockstep(data: Dataset, k: int, gammas: list) -> list[FittedReducer]:
-    """The fits of ``gammas`` in lock-step, as ``fit_pls_grid`` describes."""
     errors: dict[int, Exception] = {}  # grid index -> the error it raised
     checked = []
     for i, gamma in enumerate(gammas):
@@ -129,35 +118,33 @@ def _pls_lockstep(data: Dataset, k: int, gammas: list) -> list[FittedReducer]:
             errors[i] = exc
             break
         checked.append(gamma)
+    mom = data.moments
+    # the deflated moments carry round-off of the undeflated scale: below
+    # _W_TOL of it, X^T y (scale |X| |y|) and X^T X (trace |X|^2) count as zero
+    tr_cov = float(np.trace(mom.xx))
+    scale = math.sqrt(tr_cov * mom.yy)
+    state = [(mom.xx, mom.xy, mom.yy)] * len(checked)
     live = list(range(len(checked)))
-    # _deflate returns new arrays, so every fit starts from the data itself
-    xk = [data.X] * len(checked)
-    yk = [data.y] * len(checked)
     cols: list[list] = [[] for _ in checked]
     for it in range(1, k + 1):
         stacked = [i for i in live if checked[i] > 0.0]
-        mats = np.empty((len(stacked), data.p, data.p))
-        for j, i in enumerate(stacked):
-            cov = xk[i].T @ xk[i]
-            if math.isinf(checked[i]):
-                mats[j] = cov
-            else:
-                w = xk[i].T @ yk[i]
-                mats[j] = np.outer(w, w) + checked[i] * cov
         if stacked:
-            values, vectors = sym_eig_top1(mats)
+            values, vectors = sym_eig_top1(np.array([
+                cov if math.isinf(g) else np.outer(w, w) + g * cov
+                for g, (cov, w, _) in ((checked[i], state[i]) for i in stacked)]))
         top = {i: j for j, i in enumerate(stacked)}
         for i in live:
             try:
                 if i in top:
-                    if values[top[i]] <= 0.0:
+                    weight = 1.0 if math.isinf(checked[i]) else checked[i]
+                    if values[top[i]] <= _W_TOL * weight * tr_cov:
                         raise DegenerateDirectionError(
                             it, f"deflated data vanished at iteration {it}")
                     u = vectors[top[i]]
                 else:
-                    u = _supervised_direction(xk[i], yk[i], it)
+                    u = _supervised_direction(state[i][1], scale, it)
                 cols[i].append(u)
-                xk[i], yk[i] = _deflate(xk[i], yk[i], u, it)
+                state[i] = _deflate(*state[i], u, it)
             except DegenerateDirectionError as exc:
                 errors[i] = exc
                 break
@@ -180,17 +167,15 @@ def fit_barshan_extended(data: Dataset, k: int, gamma: float) -> FittedReducer:
     applied to keep the learned subspace reproducible.
     """
     gamma = _check_gamma(gamma)
-    x, y = data.X, data.y
     if k > data.p:
         raise ValueError(f"K={k} exceeds P={data.p}")
-    cov = x.T @ x
+    cov, w, yy, _ = data.moments
     hyper = {"gamma": gamma}
     if math.isinf(gamma):
-        basis = _pca_basis(cov, k)
+        basis = sym_eig_topk(cov, k).vectors
     else:
-        w = x.T @ y
         if gamma == 0.0:
-            scale = np.linalg.norm(x) * np.linalg.norm(y)
+            scale = math.sqrt(float(np.trace(cov)) * yy)
             if np.linalg.norm(w) <= _W_TOL * max(scale, 1e-300):
                 raise DegenerateDirectionError(1, "X^T y vanishes")
         if gamma == 0.0 or (_is_isotropic(cov) and np.linalg.norm(w) > 0):
@@ -261,10 +246,7 @@ def fit_lspca_grid(data: Dataset, k: int, gammas,
         if gamma == 0.0:
             raise ValueError("gamma must be positive and finite (or math.inf)")
         checked.append(gamma)
-    x, y = data.X, data.y
-    cov = x.T @ x
-    w = x.T @ y
-    yy = float(y @ y)
+    cov, w, yy, _ = data.moments
     tr_cov = float(np.trace(cov))
 
     def evaluate(u: np.ndarray, gam: np.ndarray):
@@ -290,8 +272,8 @@ def fit_lspca_grid(data: Dataset, k: int, gammas,
     # completion makes the result match the balanced covariance-eigenproblem
     # method exactly.
     isotropic = _is_isotropic(cov) and np.linalg.norm(w) > 0
-    start = (_pca_basis(cov, k) if any(math.isinf(g) or not isotropic for g in checked)
-             else None)
+    start = (sym_eig_topk(cov, k).vectors
+             if any(math.isinf(g) or not isotropic for g in checked) else None)
     results: list = [None] * len(checked)
     slots = []  # grid index of each fit that descends
     for i, gamma in enumerate(checked):
@@ -423,20 +405,20 @@ class SppcaOptions:
     variance_floor: float = 1e-12
 
 
-def _sppca_loglik(t, u, v, sx2, sy2) -> float:
-    """Marginal Gaussian log-likelihood of the observations t = [x, y]."""
-    n, p = t.shape[0], t.shape[1] - 1
-    k = u.shape[1]
+def _sppca_loglik(c, n, u, v, sx2, sy2) -> float:
+    """Marginal Gaussian log-likelihood of n observations t = [x, y] whose
+    scatter matrix T^T T is c."""
+    p, k = c.shape[0] - 1, u.shape[1]
     wmat = np.concatenate([u, v[None, :]], axis=0)
     psi = np.concatenate([np.full(p, sx2), [sy2]])
-    b = np.eye(k) + (wmat.T / psi) @ wmat
+    d = wmat / psi[:, None]
+    b = np.eye(k) + d.T @ wmat
     sign, logdet_b = np.linalg.slogdet(b)
     if sign <= 0:  # pragma: no cover - b is I + PSD
         raise np.linalg.LinAlgError("posterior precision not positive definite")
     logdet = float(np.sum(np.log(psi)) + logdet_b)
-    g = t / psi
-    gw = g @ wmat
-    quad = float(np.sum(g * t) - np.sum(gw * np.linalg.solve(b, gw.T).T))
+    # sum_i t_i^T (Psi + W W^T)^-1 t_i, by the Woodbury identity
+    quad = float(np.sum(np.diag(c) / psi) - np.trace(np.linalg.solve(b, d.T @ c @ d)))
     return -0.5 * (n * ((p + 1) * math.log(2.0 * math.pi) + logdet) + quad)
 
 
@@ -447,66 +429,66 @@ def fit_sppca(data: Dataset, k: int, opts: SppcaOptions | None = None) -> Fitted
     covariance scaled by the sample count.  The log-likelihood is monitored
     and must be nondecreasing (beyond 1e-8 relative) unless the variance
     floor engaged; convergence is a relative log-likelihood change below tol.
+    The start, the EM steps and the log-likelihood read only the moments
+    T^T T of T = [X y] (Tipping & Bishop, JRSS-B 1999).
     """
     opts = opts or SppcaOptions()
-    x, y = data.X, data.y
-    n, p = x.shape
+    mom = data.moments
+    n, p = mom.n, data.p
     if k > p:
         raise ValueError(f"K={k} exceeds P={p}")
+    c = np.block([[mom.xx, mom.xy[:, None]], [mom.xy[None, :], mom.yy]])
 
     # deterministic spectral initialization
-    pairs = sym_eig_topk(x.T @ x, min(p, k))
+    pairs = sym_eig_topk(mom.xx, min(p, k))
     sample_vars = pairs.values / n
+    xx = float(np.trace(mom.xx))
     if p > k:
-        total = float(np.trace(x.T @ x)) / n
-        sx2 = max((total - float(sample_vars.sum())) / (p - k), 1e-8)
+        sx2 = max((xx / n - float(sample_vars.sum())) / (p - k), 1e-8)
     else:
         sx2 = max(1e-3 * float(sample_vars.mean()), 1e-8)
     load_scale = np.sqrt(np.maximum(sample_vars - sx2, 1e-8))
     u = pairs.vectors * load_scale
-    z0 = x @ pairs.vectors
-    v0, *_ = np.linalg.lstsq(z0, y, rcond=None)
+    # least squares of y on the scores z0 = X V: z0^T z0 and z0^T y are k x k
+    zy = pairs.vectors.T @ mom.xy
+    v0, *_ = np.linalg.lstsq(pairs.vectors.T @ mom.xx @ pairs.vectors, zy, rcond=None)
     v = v0 * load_scale  # convert score-space coefficients to loading scale
-    resid = y - z0 @ v0
-    sy2 = max(float(resid @ resid) / n, 1e-8)
+    sy2 = max((mom.yy - float(v0 @ zy)) / n, 1e-8)
 
     eye_k = np.eye(k)
-    t = np.concatenate([x, y[:, None]], axis=1)
-    xx = float(np.sum(x * x))
-    yy = float(y @ y)
-    ll_prev = _sppca_loglik(t, u, v, sx2, sy2)
+    ll_prev = _sppca_loglik(c, n, u, v, sx2, sy2)
     ll_trace = [ll_prev]
     floored = False
     converged = False
     iterations = 0
     for iterations in range(1, opts.max_iters + 1):
-        # E-step: posterior moments of z given (x, y)
+        # E-step: posterior moments of z given (x, y), M = T B
         a = eye_k + (u.T @ u) / sx2 + np.outer(v, v) / sy2
         a_inv = np.linalg.inv(a)
-        m = (x @ u / sx2 + np.outer(y, v) / sy2) @ a_inv
-        s = n * a_inv + m.T @ m
+        bmat = np.concatenate([u / sx2, v[None, :] / sy2]) @ a_inv
+        tm = c @ bmat  # T^T M: X^T M above M^T y
+        s = n * a_inv + bmat.T @ tm
 
         # M-step
-        xtm = x.T @ m
+        xtm, mty = tm[:p], tm[p]
         u = np.linalg.solve(s, xtm.T).T
-        v = np.linalg.solve(s, m.T @ y)
+        v = np.linalg.solve(s, mty)
         sx2_new = (xx - float(np.sum(u * xtm))) / (n * p)
-        sy2_new = (yy - float(v @ (m.T @ y))) / n
+        sy2_new = (mom.yy - float(v @ mty)) / n
         floored_now = sx2_new < opts.variance_floor or sy2_new < opts.variance_floor
         floored = floored or floored_now
         sx2 = max(sx2_new, opts.variance_floor)
         sy2 = max(sy2_new, opts.variance_floor)
 
-        ll = _sppca_loglik(t, u, v, sx2, sy2)
+        ll = _sppca_loglik(c, n, u, v, sx2, sy2)
         ll_trace.append(ll)
         if ll < ll_prev - 1e-8 * max(1.0, abs(ll_prev)) and not floored_now:
             raise RuntimeError(f"EM log-likelihood decreased at iteration "
                                f"{iterations}: {ll_prev} -> {ll}")
-        if abs(ll - ll_prev) < opts.tol * max(1.0, abs(ll_prev)):
-            converged = True
-            ll_prev = ll
-            break
+        converged = abs(ll - ll_prev) < opts.tol * max(1.0, abs(ll_prev))
         ll_prev = ll
+        if converged:
+            break
 
     state = SppcaState(loadings=u, response_loadings=v,
                        sigma_x=math.sqrt(sx2), sigma_y=math.sqrt(sy2))

@@ -73,7 +73,7 @@ def pca_reducer(data: Dataset, k: int) -> FittedReducer:
     from .linalg import sym_eig_topk
     if k > data.p:
         raise ValueError(f"K={k} exceeds P={data.p}")
-    return FittedReducer("pca", k, basis=sym_eig_topk(data.X.T @ data.X, k).vectors)
+    return FittedReducer("pca", k, basis=sym_eig_topk(data.moments.xx, k).vectors)
 
 
 # Entries call the fit functions through this module's globals at call time,

@@ -83,7 +83,7 @@ def run_real_data(config: RealDataConfig) -> RealDataResult:
     train, val, test = (center_dataset(d, transform)
                         for d in (raw_fit, raw_val, raw_test))
 
-    spectrum = sym_eig_topk(train.X.T @ train.X, p).values
+    spectrum = sym_eig_topk(train.moments.xx, p).values
     k_max = p if config.k_max is None else min(config.k_max, p)
     ks = range(config.k_min, k_max + 1)
     result = RealDataResult(feature_names=names, n_train=n_train,

@@ -60,7 +60,6 @@ class TrialSpec:
     n_test: int = 10000
     latent_dim: int = 10
     noise_sigma: float | None = None  # None: spectrum default
-    k_learn: int = 15
     val_fraction: float = 0.2
 
     def __post_init__(self):
@@ -169,6 +168,8 @@ class BenchConfig:
     def __post_init__(self):
         if self.n_trials < 1:
             raise ValueError("trial count must be >= 1")
+        if self.k < 1:  # K above P fails per trial, with the fit's error
+            raise ValueError(f"K must be >= 1, got {self.k}")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
@@ -246,25 +247,19 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
                     seed = trial_seed(config.seed, si, ai, ni, t)
                     spec = TrialSpec(spectrum=spectrum, alignment=alignment,
                                      n_train=n_train, n_test=config.n_test,
-                                     noise_sigma=config.noise_sigma,
-                                     k_learn=config.k, seed=seed)
+                                     noise_sigma=config.noise_sigma, seed=seed)
                     trial = generate_trial(spec)
                     train, val, test = _centered_views(trial)
                     for m in config.methods:
-                        summary = per_method[m]
-                        rec = TrialRecord(t, seed, *attempt_fit(
+                        per_method[m].trials.append(TrialRecord(t, seed, *attempt_fit(
                             lambda: fit_method(m, train, val, config.k,
                                                score=config.score,
                                                gamma_grid=config.gamma_grid),
-                            train, test))
-                        if rec.error is None:
-                            summary.n_ok += 1
-                        else:
-                            summary.n_failed += 1
-                        summary.trials.append(rec)
+                            train, test)))
                 for m in config.methods:
                     summary = per_method[m]
                     ok = [r for r in summary.trials if r.error is None]
+                    summary.n_ok, summary.n_failed = len(ok), len(summary.trials) - len(ok)
                     if ok:
                         summary.mean_train_mse = float(np.mean([r.train_mse for r in ok]))
                         summary.mean_test_mse = float(np.mean([r.test_mse for r in ok]))
@@ -364,6 +359,13 @@ class SweepConfig:
     grid: tuple = DEFAULT_SWEEP_GRID
     seed: int = 0
 
+    def __post_init__(self):
+        if self.n_trials < 1:
+            raise ValueError("trial count must be >= 1")
+        p = SpectrumSpec(self.spectrum).p
+        if not 1 <= self.k <= p:
+            raise ValueError(f"K must lie in [1, {p}], got {self.k}")
+
 
 @dataclass
 class SweepCurves:
@@ -392,7 +394,7 @@ def gamma_sweep(config: SweepConfig) -> list[SweepCurves]:
             seed = trial_seed(config.seed, ai, t)
             spec = TrialSpec(spectrum=spectrum, alignment=alignment,
                              n_train=config.n_train, n_test=config.n_test,
-                             k_learn=config.k, seed=seed)
+                             seed=seed)
             trials.append(_centered_views(generate_trial(spec)))
         refs = {}
         for name in ("pca", "ols"):

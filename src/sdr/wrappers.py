@@ -63,7 +63,7 @@ def fit_bair(data: Dataset, k: int, score: str = "pearson") -> FittedReducer:
     if k > p:
         raise ValueError(f"K={k} exceeds P={p}")
     _, order = score_variables(x, y, score)
-    cov = x.T @ x  # submatrices are slices of the full covariance
+    cov = data.moments.xx  # submatrices are slices of the full covariance
     best_mse = np.inf
     best_m = None
     best_basis = None
@@ -148,7 +148,7 @@ def fit_pcps(data: Dataset, k: int, score: str = "pearson") -> FittedReducer:
     n_scored = min(p, n - 1)
     if k > n_scored:
         raise ValueError(f"K={k} exceeds the {n_scored} nonzero-variance components")
-    pairs = sym_eig_topk(x.T @ x, n_scored)
+    pairs = sym_eig_topk(data.moments.xx, n_scored)
     z = x @ pairs.vectors
     scores, order = score_variables(z, y, score)
     selected = order[:k]

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from sdr.cli import main
 
@@ -53,6 +54,13 @@ class TestSimulate:
                      "--out", str(tmp_path)])
         assert code == 2
 
+    def test_zero_k_config_error(self, tmp_path, capsys):
+        code = main(["simulate", "--methods", "pca", "--trials", "1",
+                     "--k", "0", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "K must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_config_file_precedence(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"methods": "pca", "trials": 2,
@@ -101,6 +109,18 @@ class TestSweep:
         assert main(["sweep-gamma", "--gamma-grid", "-1",
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--trials", "0"], "trial count must be >= 1"),
+        (["--trials", "-3"], "trial count must be >= 1"),
+        (["--k", "0"], "K must lie in [1, 100], got 0"),
+        (["--k", "101"], "K must lie in [1, 100], got 101"),
+    ])
+    def test_bad_trials_or_k_config_error(self, tmp_path, capsys, flags, message):
+        code = main(["sweep-gamma", *flags, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestRealData:
     def test_runs_and_writes(self, tmp_path):
@@ -130,6 +150,29 @@ class TestRealData:
         assert code == 2
         err = capsys.readouterr().err
         assert "row 10" in err and "'b'" in err
+
+    @pytest.mark.parametrize("cell, column", [
+        ("nan", "b"), ("inf", "b"), ("-Infinity", "b"), ("NaN", "target")])
+    def test_non_finite_cell_exit_2_with_coordinates(self, tmp_path, capsys,
+                                                     cell, column):
+        csv_path = _toy_csv(tmp_path)
+        lines = csv_path.read_text().splitlines()
+        fields = lines[10].split(",")
+        fields[("a", "b", "c", "target").index(column)] = cell
+        lines[10] = ",".join(fields)
+        csv_path.write_text("\n".join(lines) + "\n")
+        code = main(["real-data", "--data", str(csv_path),
+                     "--response", "target", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"non-finite cell at row 10, column {column!r}: {cell!r}" in err
+
+    def test_drop_leaving_no_feature_exit_2(self, tmp_path, capsys):
+        csv_path = _toy_csv(tmp_path)
+        code = main(["real-data", "--data", str(csv_path), "--response",
+                     "target", "--drop", "a,b,c", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "no feature column left" in capsys.readouterr().err
 
     def test_requires_data_and_response(self, tmp_path):
         assert main(["real-data", "--out", str(tmp_path)]) == 2

@@ -232,6 +232,18 @@ class TestLoadCsv:
         assert exc.value.row == 2
         assert exc.value.column == "b"
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_cell_coordinates(self, tmp_path, cell):
+        path = self._write(tmp_path, f"a,b,y\n1,2,3\n4,5,6\n7,8,{cell}\n")
+        with pytest.raises(IngestError, match="non-finite cell") as exc:
+            load_csv(path, "y")
+        assert (exc.value.row, exc.value.column) == (3, "y")
+
+    def test_drop_leaving_no_feature(self, tmp_path):
+        path = self._write(tmp_path, "id,a,y\nx1,2,3\nx2,5,6\n")
+        with pytest.raises(IngestError, match="no feature column left"):
+            load_csv(path, "y", drop=("id", "a"))
+
     def test_drop_columns(self, tmp_path):
         path = self._write(tmp_path, "id,a,y\nx1,2,3\nx2,5,6\n")
         data, names = load_csv(path, "y", drop=("id",))

@@ -234,21 +234,22 @@ class TestPrefix:
 
 class TestFitSweep:
     def test_component_solves_once_per_sweep(self, tmp_path, monkeypatch):
-        """PLS solves one top eigenvector per gamma > 0 and component, and
-        takes gamma = 0's closed form; PV one stacked solve per component.
-        Over K = 1..11 that is 17 x 11 PLS and 11 PV component solves, not
-        17 x 66 and 66."""
+        """PLS solves one top eigenvector per gamma > 0 and component (a
+        slice of a stacked ``sym_eig_top1`` call), and takes gamma = 0's
+        closed form; PV one stacked solve per component.  Over K = 1..11
+        that is 17 x 11 PLS and 11 PV component solves, not 17 x 66 and
+        66."""
         counts = {"pls": 0, "pv": 0}
 
-        def counting(module, attr, key):
+        def counting(module, attr, key, solves=lambda *args: 1):
             fn = getattr(module, attr)
 
             def counted(*args, **kwargs):
-                counts[key] += 1
+                counts[key] += solves(*args)
                 return fn(*args, **kwargs)
             monkeypatch.setattr(module, attr, counted)
 
-        counting(sdr.intrinsic, "sym_eig_top1", "pls")
+        counting(sdr.intrinsic, "sym_eig_top1", "pls", lambda mats: len(mats))
         counting(sdr.intrinsic, "_supervised_direction", "pls")
         counting(sdr.wrappers, "sym_eig_top1", "pv")
         path = tmp_path / "wine.csv"

@@ -64,25 +64,26 @@ def _pv_eigh_loop(data, k, score="pearson"):
 
 
 def _pls_eigh_loop(data, k, gamma):
-    """The extended-PLS basis at one gamma."""
+    """The extended-PLS basis at one gamma, deflating the moments."""
     gamma = _check_gamma(gamma)
     if k > data.p:
         raise ValueError(f"K={k} exceeds P={data.p}")
-    xk, yk = data.X.copy(), data.y.copy()
+    mom = data.moments
+    state = (mom.xx, mom.xy, mom.yy)
+    scale = math.sqrt(float(np.trace(mom.xx)) * mom.yy)
     cols = []
     for it in range(1, k + 1):
+        cov, w, _ = state
         if gamma == 0.0:
-            u = _supervised_direction(xk, yk, it)
+            u = _supervised_direction(w, scale, it)
         else:
-            cov = xk.T @ xk
-            w = xk.T @ yk
             m = cov if math.isinf(gamma) else np.outer(w, w) + gamma * cov
             pairs = sym_eig_topk(m, 1)
             if pairs.values[0] <= 0.0:
                 raise DegenerateDirectionError(it, f"deflated data vanished at iteration {it}")
             u = pairs.vectors[:, 0]
         cols.append(u)
-        xk, yk = _deflate(xk, yk, u, it)
+        state = _deflate(*state, u, it)
     return np.column_stack(cols)
 
 
