@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -353,8 +354,23 @@ def reducer_from_json(text: str) -> FittedReducer:
 
 
 # ---------------------------------------------------------------------------
-# CSV ingestion
+# CSV ingestion and report rows
 # ---------------------------------------------------------------------------
+
+def csv_text(header, rows) -> str:
+    """A header row and ``rows`` as CSV text.  None is written as an empty
+    cell and a float as ``repr(float(x))``, which reads back exactly."""
+    def cell(x):
+        if x is None:
+            return ""
+        return repr(float(x)) if isinstance(x, float) else x
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([cell(x) for x in row] for row in rows)
+    return buf.getvalue()
+
 
 def load_csv(path, response: str, delimiter: str = ",",
              drop: tuple[str, ...] = ()) -> tuple[Dataset, list[str]]:

@@ -429,6 +429,8 @@ def fit_sppca(data: Dataset, k: int, opts: SppcaOptions | None = None) -> Fitted
     covariance scaled by the sample count.  The log-likelihood is monitored
     and must be nondecreasing (beyond 1e-8 relative) unless the variance
     floor engaged; convergence is a relative log-likelihood change below tol.
+    A stop at a step that floored a variance is a stop on round-off and is
+    reported as not converged.
     The start, the EM steps and the log-likelihood read only the moments
     T^T T of T = [X y] (Tipping & Bishop, JRSS-B 1999).
     """
@@ -458,8 +460,7 @@ def fit_sppca(data: Dataset, k: int, opts: SppcaOptions | None = None) -> Fitted
     eye_k = np.eye(k)
     ll_prev = _sppca_loglik(c, n, u, v, sx2, sy2)
     ll_trace = [ll_prev]
-    floored = False
-    converged = False
+    floored = floored_now = converged = False
     iterations = 0
     for iterations in range(1, opts.max_iters + 1):
         # E-step: posterior moments of z given (x, y), M = T B
@@ -494,7 +495,7 @@ def fit_sppca(data: Dataset, k: int, opts: SppcaOptions | None = None) -> Fitted
                        sigma_x=math.sqrt(sx2), sigma_y=math.sqrt(sy2))
     return FittedReducer("sppca", k, sppca_state=state,
                          hyperparams={"iterations": iterations,
-                                      "converged": converged,
+                                      "converged": converged and not floored_now,
                                       "variance_floored": floored,
                                       "loglik_trace": ll_trace})
 

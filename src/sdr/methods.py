@@ -16,8 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .data import Dataset, FittedReducer, json_safe, reduce
-from .intrinsic import (fit_barshan_extended, fit_lspca, fit_lspca_grid,
-                        fit_pls_extended, fit_pls_grid, fit_sppca)
+from .intrinsic import (fit_barshan_extended, fit_lspca_grid, fit_pls_grid,
+                        fit_sppca)
 from .regression import RegressionModel, mse, ols_fit
 from .wrappers import fit_bair, fit_pcps, fit_pv
 
@@ -39,26 +39,17 @@ TIE_RTOL = 1e-10
 class Method:
     """One registry entry.
 
-    ``fit(train, k, gamma, **opts)`` returns the fitted reducer, or None for
-    the raw-feature baseline; the ``score`` option reaches the methods that
-    rank variables.  ``gamma`` is the gamma domain, or None for a method
-    without gamma (its fit ignores the argument).  ``fit_grid(train, k,
-    gammas)``, when given, fits a whole gamma grid at once (see ``fit_all``).
-    ``nested`` marks a method whose fit at K is ``FittedReducer.prefix(K)``
-    of its fit at any larger K, bit for bit, so a K sweep fits it once (see
-    ``fit_sweep``).
+    ``fit(train, k, gammas)`` returns the fitted reducers at every gamma of
+    ``gammas``, in grid order; the raw-feature baseline's reducer is None.
+    ``gamma`` is the gamma domain, or None for a method without gamma, which
+    is fitted once, at ``gammas = [None]``.  ``nested`` marks a method whose
+    fit at K is ``FittedReducer.prefix(K)`` of its fit at any larger K, bit
+    for bit, so a K sweep fits it once (see ``fit_sweep``).
     """
 
-    fit: Callable[..., FittedReducer | None]
+    fit: Callable[[Dataset, int, list], list]
     gamma: str | None = None
-    fit_grid: Callable[..., list] | None = None
     nested: bool = False
-
-    def fit_all(self, train: Dataset, k: int, gammas) -> list:
-        """The reducers at every gamma of ``gammas``, in grid order."""
-        if self.fit_grid is not None:
-            return self.fit_grid(train, k, gammas)
-        return [self.fit(train, k, gamma) for gamma in gammas]
 
     def tuning_grid(self, grid) -> list:
         """The grid points inside the domain.  gamma = 0 is dropped from an
@@ -82,21 +73,18 @@ def pca_reducer(data: Dataset, k: int) -> FittedReducer:
 # trailing columns together, and the first columns of that are not bitwise
 # the completion at a smaller K.
 METHODS = {
-    "ols": Method(lambda d, k, g, **opts: None, nested=True),
-    "pca": Method(lambda d, k, g, **opts: pca_reducer(d, k), nested=True),
-    "bair": Method(lambda d, k, g, **opts: fit_bair(d, k, **opts)),
-    "pv": Method(lambda d, k, g, **opts: fit_pv(d, k, **opts), nested=True),
-    "pcps": Method(lambda d, k, g, **opts: fit_pcps(d, k, **opts), nested=True),
-    "pls": Method(lambda d, k, g, **opts: fit_pls_extended(d, k, g),
-                  GAMMA_NONNEGATIVE,
-                  fit_grid=lambda d, k, gs: fit_pls_grid(d, k, gs),
+    "ols": Method(lambda d, k, gs: [None], nested=True),
+    "pca": Method(lambda d, k, gs: [pca_reducer(d, k)], nested=True),
+    "bair": Method(lambda d, k, gs: [fit_bair(d, k)]),
+    "pv": Method(lambda d, k, gs: [fit_pv(d, k)], nested=True),
+    "pcps": Method(lambda d, k, gs: [fit_pcps(d, k)], nested=True),
+    "pls": Method(lambda d, k, gs: fit_pls_grid(d, k, gs), GAMMA_NONNEGATIVE,
                   nested=True),
-    "barshan": Method(lambda d, k, g, **opts: fit_barshan_extended(d, k, g),
-                      GAMMA_NONNEGATIVE),
-    "lspca": Method(lambda d, k, g, **opts: fit_lspca(d, k, g)[0],
-                    GAMMA_POSITIVE,
-                    fit_grid=lambda d, k, gs: [r for r, _ in fit_lspca_grid(d, k, gs)]),
-    "sppca": Method(lambda d, k, g, **opts: fit_sppca(d, k)),
+    "barshan": Method(lambda d, k, gs: [fit_barshan_extended(d, k, g)
+                                        for g in gs], GAMMA_NONNEGATIVE),
+    "lspca": Method(lambda d, k, gs: [r for r, _ in fit_lspca_grid(d, k, gs)],
+                    GAMMA_POSITIVE),
+    "sppca": Method(lambda d, k, gs: [fit_sppca(d, k)]),
 }
 
 #: Benchmark roster in report row order: the raw-feature baseline, classic
@@ -129,8 +117,11 @@ def with_model(method: str, reducer: FittedReducer | None,
     return MethodFit(method, reducer, ols_fit(z, train.y), hyper)
 
 
-def _tuning_gammas(name: str, entry: Method, val: Dataset | None,
-                   grid) -> list:
+def _gammas(name: str, entry: Method, val: Dataset | None, grid) -> list:
+    """The gammas ``entry`` is fitted at: [None] for a method without
+    gamma, else the in-domain points of ``grid``."""
+    if entry.gamma is None:
+        return [None]
     if val is None:
         raise ValueError(f"{name} needs a validation split to choose gamma")
     gammas = entry.tuning_grid(grid)
@@ -140,10 +131,13 @@ def _tuning_gammas(name: str, entry: Method, val: Dataset | None,
     return gammas
 
 
-def _select_gamma(name: str, gammas: list, reducers: list, train: Dataset,
-                  val: Dataset) -> MethodFit:
-    """The fit whose reducer scores the lowest finite validation MSE, the
-    earliest grid point among those tied within ``TIE_RTOL``."""
+def _choose(name: str, entry: Method, gammas: list, reducers: list,
+            train: Dataset, val: Dataset | None) -> MethodFit:
+    """The fit of ``reducers``, fitted at ``gammas``: the one reducer of a
+    method without gamma, else the one with the lowest finite validation
+    MSE, the earliest grid point among those tied within ``TIE_RTOL``."""
+    if entry.gamma is None:
+        return with_model(name, reducers[0], train)
     scored = []
     for gamma, reducer in zip(gammas, reducers):
         fit = with_model(name, reducer, train)
@@ -160,7 +154,6 @@ def _select_gamma(name: str, gammas: list, reducers: list, train: Dataset,
 
 
 def fit_method(name: str, train: Dataset, val: Dataset | None, k: int, *,
-               score: str = "pearson",
                gamma_grid=DEFAULT_GAMMA_GRID) -> MethodFit:
     """Fit one registered method on centered data.
 
@@ -170,15 +163,11 @@ def fit_method(name: str, train: Dataset, val: Dataset | None, k: int, *,
     entry = METHODS.get(name)
     if entry is None:
         raise ValueError(f"unknown method {name!r}")
-    if entry.gamma is not None:
-        gammas = _tuning_gammas(name, entry, val, gamma_grid)
-        return _select_gamma(name, gammas, entry.fit_all(train, k, gammas),
-                             train, val)
-    return with_model(name, entry.fit(train, k, None, score=score), train)
+    gammas = _gammas(name, entry, val, gamma_grid)
+    return _choose(name, entry, gammas, entry.fit(train, k, gammas), train, val)
 
 
 def fit_sweep(name: str, train: Dataset, val: Dataset | None, ks, *,
-              score: str = "pearson",
               gamma_grid=DEFAULT_GAMMA_GRID) -> dict:
     """``{k: thunk}`` over ``ks``: each thunk returns what ``fit_method(name,
     train, val, k, ...)`` returns, or raises what it raises.
@@ -190,28 +179,21 @@ def fit_sweep(name: str, train: Dataset, val: Dataset | None, ks, *,
     partial success across the K range is the per-K one.
     """
     ks = list(ks)
-    per_k = {k: partial(fit_method, name, train, val, k, score=score,
-                        gamma_grid=gamma_grid) for k in ks}
+    per_k = {k: partial(fit_method, name, train, val, k, gamma_grid=gamma_grid)
+             for k in ks}
     entry = METHODS.get(name)
     if entry is None or not entry.nested or not ks:
         return per_k
-    k_max = max(ks)
     try:
-        if entry.gamma is None:
-            shared = entry.fit(train, k_max, None, score=score)
-        else:
-            gammas = _tuning_gammas(name, entry, val, gamma_grid)
-            shared = entry.fit_all(train, k_max, gammas)
+        gammas = _gammas(name, entry, val, gamma_grid)
+        shared = entry.fit(train, max(ks), gammas)
     except Exception:  # the per-K fits reproduce it, K by K
         return per_k
-    if entry.gamma is None:
-        def fit_k(k):
-            reducer = None if shared is None else shared.prefix(k)
-            return with_model(name, reducer, train)
-    else:
-        def fit_k(k):
-            return _select_gamma(name, gammas, [r.prefix(k) for r in shared],
-                                 train, val)
+
+    def fit_k(k):
+        return _choose(name, entry, gammas,
+                       [None if r is None else r.prefix(k) for r in shared],
+                       train, val)
     return {k: partial(fit_k, k) for k in ks}
 
 

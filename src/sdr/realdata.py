@@ -3,15 +3,14 @@ seeded shuffle, and sweep the subspace dimension across every method."""
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Dataset, IngestError, center_dataset, fit_centering, load_csv
+from .data import (Dataset, IngestError, center_dataset, csv_text,
+                   fit_centering, load_csv)
 from .methods import (DEFAULT_GAMMA_GRID, DEFAULT_METHODS, attempt_fit,
                       fit_sweep)
 from .linalg import sym_eig_topk
@@ -30,7 +29,6 @@ class RealDataConfig:
     test_fraction: float = 0.2     # floor(0.2 N) test rows, remainder train
     val_fraction: float = 0.2      # carved from the training split
     gamma_grid: tuple = DEFAULT_GAMMA_GRID
-    score: str = "pearson"
 
     def __post_init__(self):
         if self.k_min < 1:
@@ -90,7 +88,7 @@ def run_real_data(config: RealDataConfig) -> RealDataResult:
                             n_test=n_test, spectrum=spectrum)
     # each method is set up once for the whole K range; points stay in
     # (K, method) order
-    sweeps = {method: fit_sweep(method, train, val, ks, score=config.score,
+    sweeps = {method: fit_sweep(method, train, val, ks,
                                 gamma_grid=config.gamma_grid)
               for method in config.methods}
     for k in ks:
@@ -101,23 +99,13 @@ def run_real_data(config: RealDataConfig) -> RealDataResult:
 
 
 def curves_to_csv(result: RealDataResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("method", "K", "train_mse", "test_mse"))
-    for pt in result.points:
-        writer.writerow((pt.method, pt.k,
-                         "" if pt.train_mse is None else repr(pt.train_mse),
-                         "" if pt.test_mse is None else repr(pt.test_mse)))
-    return buf.getvalue()
+    return csv_text(("method", "K", "train_mse", "test_mse"),
+                    ((pt.method, pt.k, pt.train_mse, pt.test_mse)
+                     for pt in result.points))
 
 
 def spectrum_to_csv(result: RealDataResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("index", "eigenvalue"))
-    for i, lam in enumerate(result.spectrum, start=1):
-        writer.writerow((i, repr(float(lam))))
-    return buf.getvalue()
+    return csv_text(("index", "eigenvalue"), enumerate(result.spectrum, start=1))
 
 
 def result_to_json(result: RealDataResult) -> str:
@@ -127,10 +115,5 @@ def result_to_json(result: RealDataResult) -> str:
         "n_test": result.n_test,
         "note": "responses left in original units; MSE is uncentered",
         "spectrum": [float(v) for v in result.spectrum],
-        "points": [
-            {"method": pt.method, "k": pt.k, "train_mse": pt.train_mse,
-             "test_mse": pt.test_mse, "hyperparams": pt.hyperparams,
-             "error": pt.error}
-            for pt in result.points
-        ],
+        "points": [asdict(pt) for pt in result.points],
     }, indent=1)

@@ -5,14 +5,13 @@ balance-parameter sweep with paired trials.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import product
 
 import numpy as np
 
-from .data import Dataset, center_dataset, fit_centering
+from .data import Dataset, center_dataset, csv_text, fit_centering
 from .methods import (DEFAULT_GAMMA_GRID, DEFAULT_METHODS, METHODS,
                       attempt_fit, fit_method, with_model)
 
@@ -65,8 +64,17 @@ class TrialSpec:
     def __post_init__(self):
         if self.alignment not in ALIGNMENT_KINDS:
             raise ValueError(f"unknown alignment {self.alignment!r}")
-        if self.n_train < 2:
-            raise ValueError("n_train too small")
+        n_fit, n_val = self.split
+        if min(n_fit, n_val) < 2:
+            raise ValueError(f"n_train={self.n_train} splits into {n_fit} fit "
+                             f"and {n_val} validation rows; each needs at "
+                             "least 2")
+
+    @property
+    def split(self) -> tuple[int, int]:
+        """(fit rows, validation rows) of the training budget."""
+        n_val = int(round(self.val_fraction * self.n_train))
+        return self.n_train - n_val, n_val
 
     @property
     def sigma(self) -> float:
@@ -138,10 +146,9 @@ def generate_trial(spec: TrialSpec) -> TrialData:
         y = x @ beta + rng.standard_normal(n) * spec.sigma
         return Dataset(x, y)
 
-    n_val = int(round(spec.val_fraction * spec.n_train))
     full = draw(spec.n_train)
     test = draw(spec.n_test)
-    n_fit = spec.n_train - n_val
+    n_fit, _ = spec.split
     train = Dataset(full.X[:n_fit], full.y[:n_fit])
     val = Dataset(full.X[n_fit:], full.y[n_fit:])
     return TrialData(train=train, validation=val, test=test, phi=phi, beta=beta)
@@ -163,7 +170,6 @@ class BenchConfig:
     noise_sigma: float | None = None
     gamma_grid: tuple = DEFAULT_GAMMA_GRID
     seed: int = 0
-    score: str = "pearson"
 
     def __post_init__(self):
         if self.n_trials < 1:
@@ -173,6 +179,10 @@ class BenchConfig:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
+        # a bad setting is refused here, not when its first trial is drawn
+        for spectrum, alignment, n_train in product(
+                self.spectra, self.alignments, self.train_sizes):
+            TrialSpec(SpectrumSpec(spectrum), alignment, n_train, seed=0)
 
 
 @dataclass
@@ -233,7 +243,7 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
         "alignments": list(config.alignments),
         "train_sizes": list(config.train_sizes), "n_trials": config.n_trials,
         "k": config.k, "n_test": config.n_test, "seed": config.seed,
-        "score": config.score,
+        "score": "pearson",
         "gamma_grid": [repr(g) for g in config.gamma_grid],
     })
     for si, spectrum_kind in enumerate(config.spectra):
@@ -253,7 +263,6 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
                     for m in config.methods:
                         per_method[m].trials.append(TrialRecord(t, seed, *attempt_fit(
                             lambda: fit_method(m, train, val, config.k,
-                                               score=config.score,
                                                gamma_grid=config.gamma_grid),
                             train, test)))
                 for m in config.methods:
@@ -277,47 +286,16 @@ CSV_COLUMNS = ("spectrum", "alignment", "n_train", "method",
 
 
 def report_to_csv(report: BenchReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for setting in report.settings:
-        for summary in setting.methods:
-            writer.writerow([
-                setting.spectrum, setting.alignment, setting.n_train,
-                summary.method,
-                "" if summary.mean_train_mse is None else repr(summary.mean_train_mse),
-                "" if summary.mean_test_mse is None else repr(summary.mean_test_mse),
-                summary.n_ok, summary.n_failed,
-            ])
-    return buf.getvalue()
+    return csv_text(CSV_COLUMNS, (
+        (s.spectrum, s.alignment, s.n_train, m.method, m.mean_train_mse,
+         m.mean_test_mse, m.n_ok, m.n_failed)
+        for s in report.settings for m in s.methods))
 
 
 def report_to_json(report: BenchReport) -> str:
-    doc = {
-        "config": report.config,
-        "notes": list(report.notes),
-        "settings": [
-            {
-                "spectrum": s.spectrum, "alignment": s.alignment,
-                "n_train": s.n_train,
-                "methods": [
-                    {
-                        "method": m.method,
-                        "mean_train_mse": m.mean_train_mse,
-                        "mean_test_mse": m.mean_test_mse,
-                        "n_ok": m.n_ok, "n_failed": m.n_failed,
-                        "trials": [
-                            {"trial": r.trial, "seed": r.seed,
-                             "train_mse": r.train_mse, "test_mse": r.test_mse,
-                             "hyperparams": r.hyperparams, "error": r.error}
-                            for r in m.trials
-                        ],
-                    } for m in s.methods
-                ],
-            } for s in report.settings
-        ],
-    }
-    return json.dumps(doc, indent=1)
+    return json.dumps({"config": report.config, "notes": list(report.notes),
+                       "settings": [asdict(s) for s in report.settings]},
+                      indent=1)
 
 
 def report_to_table(report: BenchReport) -> str:
@@ -362,9 +340,11 @@ class SweepConfig:
     def __post_init__(self):
         if self.n_trials < 1:
             raise ValueError("trial count must be >= 1")
-        p = SpectrumSpec(self.spectrum).p
-        if not 1 <= self.k <= p:
-            raise ValueError(f"K must lie in [1, {p}], got {self.k}")
+        spectrum = SpectrumSpec(self.spectrum)
+        if not 1 <= self.k <= spectrum.p:
+            raise ValueError(f"K must lie in [1, {spectrum.p}], got {self.k}")
+        for alignment in self.alignments:
+            TrialSpec(spectrum, alignment, self.n_train, seed=0)
 
 
 @dataclass
@@ -405,8 +385,8 @@ def gamma_sweep(config: SweepConfig) -> list[SweepCurves]:
         for name in SWEEP_METHODS:
             # test MSE per trial (rows) and gamma (columns)
             vals = [[with_model(name, reducer, train).evaluate(test)
-                     for reducer in METHODS[name].fit_all(train, config.k,
-                                                          config.grid)]
+                     for reducer in METHODS[name].fit(train, config.k,
+                                                      config.grid)]
                     for train, _, test in trials]
             per_method[name] = [float(np.mean(col)) for col in zip(*vals)]
         curves.append(SweepCurves(alignment=alignment,
@@ -418,25 +398,14 @@ def gamma_sweep(config: SweepConfig) -> list[SweepCurves]:
 
 def sweep_to_csv(curves: list[SweepCurves]) -> tuple[str, str]:
     """(curve rows, reference rows) as CSV text."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("method", "alignment", "gamma", "test_mse"))
-    for c in curves:
-        for method, series in c.test_mse.items():
-            for gamma, value in zip(c.gammas, series):
-                writer.writerow((method, c.alignment, repr(gamma), repr(value)))
-    refs = io.StringIO()
-    writer = csv.writer(refs, lineterminator="\n")
-    writer.writerow(("method", "alignment", "test_mse"))
-    for c in curves:
-        writer.writerow(("pca", c.alignment, repr(c.pca_ref)))
-        writer.writerow(("ols", c.alignment, repr(c.ols_ref)))
-    return buf.getvalue(), refs.getvalue()
+    rows = [(method, c.alignment, gamma, value)
+            for c in curves for method, series in c.test_mse.items()
+            for gamma, value in zip(c.gammas, series)]
+    refs = [(name, c.alignment, value) for c in curves
+            for name, value in (("pca", c.pca_ref), ("ols", c.ols_ref))]
+    return (csv_text(("method", "alignment", "gamma", "test_mse"), rows),
+            csv_text(("method", "alignment", "test_mse"), refs))
 
 
 def sweep_to_json(curves: list[SweepCurves]) -> str:
-    return json.dumps([
-        {"alignment": c.alignment, "gammas": c.gammas, "test_mse": c.test_mse,
-         "pca_ref": c.pca_ref, "ols_ref": c.ols_ref}
-        for c in curves
-    ], indent=1)
+    return json.dumps([asdict(c) for c in curves], indent=1)

@@ -61,6 +61,39 @@ class TestSimulate:
         assert "K must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("file_config, message", [
+        ({"spectrum": "medium"}, "unknown spectrum kind 'medium'"),
+        *(({"ntrain": n}, f"n_train={n} splits into") for n in range(2, 8)),
+    ], ids=["spectrum-medium", *(f"ntrain-{n}" for n in range(2, 8))])
+    def test_config_file_value_outside_flag_choices_exit_2(
+            self, tmp_path, capsys, file_config, message):
+        # a config file skips argparse's choices; the run is refused up front
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(file_config))
+        code = main(["simulate", "--config", str(config), "--methods", "pca",
+                     "--trials", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_report_json_key_order(self, tmp_path):
+        # pinned: a field added to a record dataclass changes report.json
+        assert main(["simulate", "--methods", "ols", "--trials", "1",
+                     "--spectrum", "fast", "--alignment", "well",
+                     "--ntrain", "150", "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert list(doc) == ["config", "notes", "settings"]
+        assert list(doc["config"]) == [
+            "methods", "spectra", "alignments", "train_sizes", "n_trials", "k",
+            "n_test", "seed", "score", "gamma_grid"]
+        setting = doc["settings"][0]
+        assert list(setting) == ["spectrum", "alignment", "n_train", "methods"]
+        summary = setting["methods"][0]
+        assert list(summary) == ["method", "mean_train_mse", "mean_test_mse",
+                                 "n_ok", "n_failed", "trials"]
+        assert list(summary["trials"][0]) == ["trial", "seed", "train_mse",
+                                              "test_mse", "hyperparams", "error"]
+
     def test_config_file_precedence(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"methods": "pca", "trials": 2,
@@ -105,6 +138,24 @@ class TestSweep:
         refs = (tmp_path / "gamma_refs.csv").read_text().splitlines()
         assert len(refs) - 1 == 2
 
+    def test_gamma_curves_json_key_order(self, tmp_path):
+        # pinned: a field added to SweepCurves changes gamma_curves.json
+        assert main(["sweep-gamma", "--trials", "1", "--alignment", "well",
+                     "--gamma-grid", "1", "--k", "2", "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "gamma_curves.json").read_text())
+        assert [list(entry) for entry in doc] == [
+            ["alignment", "gammas", "test_mse", "pca_ref", "ols_ref"]]
+
+    def test_small_ntrain_in_config_file_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"ntrain": 1}))
+        code = main(["sweep-gamma", "--config", str(config),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert ("n_train=1 splits into 1 fit and 0 validation rows"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_bad_gamma_grid(self, tmp_path):
         assert main(["sweep-gamma", "--gamma-grid", "-1",
                      "--out", str(tmp_path)]) == 2
@@ -135,6 +186,17 @@ class TestRealData:
         assert len(rows) - 1 == 2 * 2
         assert (out / "spectrum.csv").exists()
         assert (out / "real_data.json").exists()
+
+    def test_real_data_json_key_order(self, tmp_path):
+        # pinned: a field added to CurvePoint changes real_data.json
+        assert main(["real-data", "--data", str(_toy_csv(tmp_path)),
+                     "--response", "target", "--methods", "pls", "--k", "1",
+                     "--k-max", "1", "--out", str(tmp_path / "o")]) == 0
+        doc = json.loads((tmp_path / "o" / "real_data.json").read_text())
+        assert list(doc) == ["feature_names", "n_train", "n_test", "note",
+                             "spectrum", "points"]
+        assert list(doc["points"][0]) == ["method", "k", "train_mse",
+                                          "test_mse", "hyperparams", "error"]
 
     def test_missing_response_exit_2(self, tmp_path, capsys):
         csv_path = _toy_csv(tmp_path)

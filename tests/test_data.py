@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sdr.data import (Dataset, FittedReducer, IngestError, PVStep, SppcaState,
-                      fit_centering, json_safe, load_csv, reduce,
+                      csv_text, fit_centering, json_safe, load_csv, reduce,
                       reducer_from_json, reducer_to_json)
 
 
@@ -205,6 +205,14 @@ class TestJsonSafe:
         hyper = {"steps": [np.array([1.5, -np.inf]), (np.arange(2), 7)]}
         assert json_safe(hyper) == {"steps": [[1.5, "-inf"], [[0, 1], 7]]}
         assert self._roundtrip(hyper) == {"steps": [[1.5, -math.inf], [[0, 1], 7]]}
+
+
+def test_csv_text_cells():
+    # None is empty; any float, numpy's too, is its round-trip repr
+    text = csv_text(("name", "n", "value"), [("a", 3, 0.1), ("b,c", 4, None),
+                                             ("d", np.int64(5), np.float64(1 / 3))])
+    assert text == ('name,n,value\na,3,0.1\n"b,c",4,\n'
+                    "d,5,0.3333333333333333\n")
 
 
 class TestLoadCsv:

@@ -66,7 +66,7 @@ def _per_k_run_real_data(config):
     for k in range(config.k_min, k_max + 1):
         for method in config.methods:
             result.points.append(CurvePoint(method, k, *attempt_fit(
-                lambda: fit_method(method, train, val, k, score=config.score,
+                lambda: fit_method(method, train, val, k,
                                    gamma_grid=config.gamma_grid),
                 train, test)))
     return result
@@ -158,9 +158,8 @@ def split(request, tmp_path_factory):
 
 def _fits(name, data, k):
     entry = METHODS[name]
-    if entry.gamma is None:
-        return [entry.fit(data, k, None)]
-    return entry.fit_all(data, k, DEFAULT_GAMMA_GRID)
+    gammas = [None] if entry.gamma is None else DEFAULT_GAMMA_GRID
+    return entry.fit(data, k, gammas)
 
 
 def _assert_bitwise_equal(a: FittedReducer, b: FittedReducer):
