@@ -1,8 +1,11 @@
 """Command-line front door: synthetic benchmarks, balance-parameter sweeps,
 real-data evaluation, and the brute-force oracle battery.
 
-Option precedence: command-line flags override config-file values override
-defaults; SDR_SEED is the seed fallback.  Exit codes: 0 success, 1 oracle or
+Every setting is a flag.  ``--config file.json`` stands for the flags its
+flat object names (``{"k": 3}`` is ``--k=3``), placed before the command
+line's own, so an explicit flag wins; SDR_SEED is the seed fallback.  A
+command passes on only the settings that were given: defaults and value
+checks belong to the library configs.  Exit codes: 0 success, 1 oracle or
 run failure, 2 usage/config error.
 """
 
@@ -10,29 +13,45 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
 
 from .data import IngestError
-from .methods import DEFAULT_GAMMA_GRID, DEFAULT_METHODS, METHODS
 from .realdata import (RealDataConfig, curves_to_csv, result_to_json,
                        run_real_data, spectrum_to_csv)
-from .simulation import (ALIGNMENT_KINDS, DEFAULT_SWEEP_GRID, SPECTRUM_KINDS,
-                         BenchConfig, SweepConfig, gamma_sweep, report_to_csv,
+from .simulation import (BenchConfig, SweepConfig, gamma_sweep, report_to_csv,
                          report_to_json, report_to_table, run_benchmark,
                          sweep_to_csv, sweep_to_json)
 
-_ALIGNMENT_ALIASES = {
-    "well": "well", "well-aligned": "well",
-    "mis": "mis", "misaligned": "mis",
-    "partial": "partial", "partially-aligned": "partial",
-}
+_ALIGNMENT_ALIASES = {"well-aligned": "well", "misaligned": "mis",
+                      "partially-aligned": "partial"}
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _names(text: str) -> tuple:
+    """A comma-separated list, blanks dropped."""
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
+def _methods(text: str) -> tuple | None:
+    """A method list; 'all' keeps the config's default, every method."""
+    return None if text.strip() == "all" else _names(text)
+
+
+def _gammas(text: str) -> tuple:
+    try:
+        return tuple(float(s) for s in _names(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid gamma grid {text!r}") from None
+
+
+def _alignment(text: str) -> str:
+    return _ALIGNMENT_ALIASES.get(text, text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,149 +60,80 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Supervised linear dimension-reduction benchmarks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--config", default=None,
-                       help="flat key-value JSON config file")
+    def command(name, help):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.add_argument("--seed", type=int, default=os.environ.get("SDR_SEED"))
+        p.add_argument("--out", default="sdr-out", help="output directory")
+        p.add_argument("--config", help="flat key-value JSON config file")
+        return p
 
-    sim = sub.add_parser("simulate", help="multi-trial synthetic benchmark")
-    common(sim)
-    sim.add_argument("--methods", default=None,
+    sim = command("simulate", "multi-trial synthetic benchmark")
+    sim.add_argument("--methods", type=_methods,
                      help="comma-separated method names, or 'all'")
-    sim.add_argument("--trials", type=int, default=None)
-    sim.add_argument("--spectrum", choices=SPECTRUM_KINDS, default=None,
-                     help="restrict to one spectrum (default: both)")
-    sim.add_argument("--alignment", choices=sorted(_ALIGNMENT_ALIASES),
-                     default=None, help="restrict to one alignment case")
-    sim.add_argument("--ntrain", type=int, choices=(150, 1500), default=None,
-                     help="restrict to one training size")
-    sim.add_argument("--k", type=int, default=None)
-    sim.add_argument("--gamma-grid", default=None,
-                     help="comma-separated tuning grid (inf allowed)")
+    sweep = command("sweep-gamma", "paired-trial gamma curves")
+    for p in (sim, sweep):
+        p.add_argument("--trials", type=int)
+        p.add_argument("--spectrum", help="fast or slow")
+        p.add_argument("--alignment", type=_alignment,
+                       help="well, mis or partial, or their long names "
+                            f"{', '.join(_ALIGNMENT_ALIASES)}")
+        p.add_argument("--ntrain", type=int, help="training rows per trial")
+        p.add_argument("--k", type=int)
+        p.add_argument("--gamma-grid", type=_gammas,
+                       help="comma-separated gamma grid (inf allowed)")
 
-    sweep = sub.add_parser("sweep-gamma", help="paired-trial gamma curves")
-    common(sweep)
-    sweep.add_argument("--trials", type=int, default=None)
-    sweep.add_argument("--spectrum", choices=SPECTRUM_KINDS, default=None)
-    sweep.add_argument("--alignment", choices=sorted(_ALIGNMENT_ALIASES),
-                       default=None)
-    sweep.add_argument("--ntrain", type=int, choices=(150, 1500), default=None)
-    sweep.add_argument("--k", type=int, default=None)
-    sweep.add_argument("--gamma-grid", default=None)
-
-    real = sub.add_parser("real-data", help="K sweep on a CSV dataset")
-    common(real)
-    real.add_argument("--data", default=None, help="path to the CSV file")
-    real.add_argument("--response", default=None, help="response column name")
-    real.add_argument("--delimiter", default=None)
-    real.add_argument("--drop", default=None,
+    real = command("real-data", "K sweep on a CSV dataset")
+    real.add_argument("--data", help="path to the CSV file")
+    real.add_argument("--response", help="response column name")
+    real.add_argument("--delimiter")
+    real.add_argument("--drop", type=_names,
                       help="comma-separated columns to exclude")
-    real.add_argument("--methods", default=None)
-    real.add_argument("--k", type=int, default=None, help="smallest K")
-    real.add_argument("--k-max", type=int, default=None, help="largest K")
-    real.add_argument("--gamma-grid", default=None)
+    real.add_argument("--methods", type=_methods)
+    real.add_argument("--k", type=int, help="smallest K")
+    real.add_argument("--k-max", type=int, help="largest K")
+    real.add_argument("--gamma-grid", type=_gammas)
 
-    oracle = sub.add_parser("oracle-check", help="run the brute-force oracles")
-    common(oracle)
+    oracle = sub.add_parser("oracle-check", help="run the brute-force oracles",
+                            allow_abbrev=False)
     oracle.add_argument("--inject-perturbation", action="store_true",
                         help=argparse.SUPPRESS)  # negative-control test hook
     return parser
 
 
-class _Options:
-    """Flag > config-file > default resolution."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = vars(args)
-        self.file: dict = {}
-        path = self.args.get("config")
-        if path:
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    self.file = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-            if not isinstance(self.file, dict):
-                raise ConfigError("config file must hold a flat JSON object")
-
-    def get(self, key: str, default=None):
-        cli = self.args.get(key.replace("-", "_"))
-        if cli is not None:
-            return cli
-        if key in self.file:
-            return self.file[key]
-        return default
-
-    def seed(self) -> int:
-        value = self.get("seed")
-        if value is None:
-            value = os.environ.get("SDR_SEED", 0)
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"invalid seed {value!r}") from None
-
-
-def _parse_methods(raw) -> tuple:
-    if raw is None:
-        return DEFAULT_METHODS
-    if isinstance(raw, (list, tuple)):
-        names = [str(m).strip() for m in raw]
-    else:
-        names = [m.strip() for m in str(raw).split(",")]
-        if len(names) == 1 and names[0] == "all":
-            return DEFAULT_METHODS
-    names = [n for n in names if n]
-    if not names:
-        raise ConfigError("method list is empty")
-    unknown = [n for n in names if n not in METHODS]
-    if unknown:
-        raise ConfigError(f"unknown methods {unknown}; "
-                          f"choose from {', '.join(METHODS)}")
-    return tuple(names)
-
-
-def _parse_gammas(raw, default) -> tuple:
-    if raw is None:
-        return default
-    items = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
-    grid = []
-    for item in items:
-        text = str(item).strip().lower()
-        if not text:
-            continue
-        try:
-            grid.append(math.inf if text in ("inf", "infinity") else float(text))
-        except ValueError:
-            raise ConfigError(f"invalid gamma value {item!r}") from None
-    if not grid:
-        raise ConfigError("gamma grid is empty")
-    if any(g < 0 or math.isnan(g) for g in grid):
-        raise ConfigError("gamma values must be >= 0")
-    return tuple(grid)
-
-
-def _alignments(opt) -> tuple:
-    raw = opt.get("alignment")
-    if raw is None:
-        return ALIGNMENT_KINDS
-    key = str(raw).lower()
-    if key not in _ALIGNMENT_ALIASES:
-        raise ConfigError(f"unknown alignment {raw!r}")
-    return (_ALIGNMENT_ALIASES[key],)
-
-
-def _config(make):
-    """``make()``, with a bad value in it reported as a usage error."""
+def _config_flags(path: str) -> list[str]:
+    """The flags a flat JSON config file stands for: ``{"k": 3}`` is
+    ``--k=3``, a list is comma-joined, and null leaves the flag unset."""
     try:
-        return make()
-    except (TypeError, ValueError) as exc:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("config file must hold a flat JSON object")
+    flags = []
+    for key, value in doc.items():
+        if value is not None:
+            items = value if isinstance(value, list) else [value]
+            flags.append(f"--{key}=" + ",".join(
+                v if isinstance(v, str) else json.dumps(v) for v in items))
+    return flags
+
+
+def _one(value) -> tuple | None:
+    return None if value is None else (value,)
+
+
+def _config(make, **settings):
+    """``make`` called with the settings that were given, a bad value among
+    them reported as a usage error."""
+    try:
+        return make(**{k: v for k, v in settings.items() if v is not None})
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _out_dir(opt) -> Path:
-    out = Path(opt.get("out", "sdr-out"))
+def _out_dir(args) -> Path:
+    out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -192,20 +142,12 @@ def _out_dir(opt) -> Path:
 
 
 def _cmd_simulate(args) -> int:
-    opt = _Options(args)
-    spectrum = opt.get("spectrum")
-    ntrain = opt.get("ntrain")
-    config = _config(lambda: BenchConfig(
-        methods=_parse_methods(opt.get("methods")),
-        spectra=(spectrum,) if spectrum else SPECTRUM_KINDS,
-        alignments=_alignments(opt),
-        train_sizes=(int(ntrain),) if ntrain else (150, 1500),
-        n_trials=int(opt.get("trials", 20)),
-        k=int(opt.get("k", 15)),
-        gamma_grid=_parse_gammas(opt.get("gamma-grid"), DEFAULT_GAMMA_GRID),
-        seed=opt.seed(),
-    ))
-    out = _out_dir(opt)
+    config = _config(BenchConfig, methods=args.methods,
+                     spectra=_one(args.spectrum),
+                     alignments=_one(args.alignment),
+                     train_sizes=_one(args.ntrain), n_trials=args.trials,
+                     k=args.k, gamma_grid=args.gamma_grid, seed=args.seed)
+    out = _out_dir(args)
     report = run_benchmark(config)
     (out / "report.csv").write_text(report_to_csv(report), encoding="utf-8")
     (out / "report.json").write_text(report_to_json(report), encoding="utf-8")
@@ -217,17 +159,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    opt = _Options(args)
-    config = _config(lambda: SweepConfig(
-        spectrum=opt.get("spectrum", "slow"),
-        alignments=_alignments(opt),
-        n_train=int(opt.get("ntrain", 150)),
-        n_trials=int(opt.get("trials", 10)),
-        k=int(opt.get("k", 15)),
-        grid=_parse_gammas(opt.get("gamma-grid"), DEFAULT_SWEEP_GRID),
-        seed=opt.seed(),
-    ))
-    out = _out_dir(opt)
+    config = _config(SweepConfig, spectrum=args.spectrum,
+                     alignments=_one(args.alignment), n_train=args.ntrain,
+                     n_trials=args.trials, k=args.k, grid=args.gamma_grid,
+                     seed=args.seed)
+    out = _out_dir(args)
     curves = gamma_sweep(config)
     curve_csv, ref_csv = sweep_to_csv(curves)
     (out / "gamma_curves.csv").write_text(curve_csv, encoding="utf-8")
@@ -238,25 +174,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_real_data(args) -> int:
-    opt = _Options(args)
-    data_path = opt.get("data")
-    response = opt.get("response")
-    if not data_path or not response:
+    if not args.data or not args.response:
         raise ConfigError("real-data requires --data and --response")
-    drop_raw = opt.get("drop")
-    drop = tuple(s.strip() for s in str(drop_raw).split(",") if s.strip()) if drop_raw else ()
-    config = _config(lambda: RealDataConfig(
-        path=str(data_path),
-        response=str(response),
-        delimiter=str(opt.get("delimiter", ",")),
-        drop=drop,
-        methods=_parse_methods(opt.get("methods")),
-        k_min=int(opt.get("k", 1)),
-        k_max=int(opt.get("k-max")) if opt.get("k-max") is not None else None,
-        seed=opt.seed(),
-        gamma_grid=_parse_gammas(opt.get("gamma-grid"), DEFAULT_GAMMA_GRID),
-    ))
-    out = _out_dir(opt)
+    config = _config(RealDataConfig, path=args.data, response=args.response,
+                     delimiter=args.delimiter, drop=args.drop,
+                     methods=args.methods, k_min=args.k, k_max=args.k_max,
+                     gamma_grid=args.gamma_grid, seed=args.seed)
+    out = _out_dir(args)
     try:
         result = run_real_data(config)
     except (IngestError, FileNotFoundError) as exc:
@@ -271,7 +195,7 @@ def _cmd_real_data(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     from .oracles import run_oracles
-    results = run_oracles(inject_perturbation=bool(args.inject_perturbation))
+    results = run_oracles(inject_perturbation=args.inject_perturbation)
     failed = []
     for res in results:
         status = "PASS" if res.ok else "FAIL"
@@ -293,14 +217,18 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # the command name, the file's flags, then the command line's
+            args = parser.parse_args(
+                argv[:1] + _config_flags(args.config) + argv[1:])
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse uses code 2 for usage errors
         code = exc.code
         return code if isinstance(code, int) else 2
-    try:
-        return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

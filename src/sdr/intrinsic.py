@@ -398,11 +398,12 @@ def _solve_stack(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 # Supervised probabilistic PCA
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SppcaOptions:
-    max_iters: int = 1000
-    tol: float = 1e-8            # relative log-likelihood change
-    variance_floor: float = 1e-12
+#: SPPCA's EM stops after SPPCA_MAX_ITERS steps, or once the log-likelihood
+#: moves by less than SPPCA_TOL relative; both noise variances are floored
+#: at SPPCA_VARIANCE_FLOOR.
+SPPCA_MAX_ITERS = 1000
+SPPCA_TOL = 1e-8
+SPPCA_VARIANCE_FLOOR = 1e-12
 
 
 def _sppca_loglik(c, n, u, v, sx2, sy2) -> float:
@@ -422,19 +423,18 @@ def _sppca_loglik(c, n, u, v, sx2, sy2) -> float:
     return -0.5 * (n * ((p + 1) * math.log(2.0 * math.pi) + logdet) + quad)
 
 
-def fit_sppca(data: Dataset, k: int, opts: SppcaOptions | None = None) -> FittedReducer:
+def fit_sppca(data: Dataset, k: int) -> FittedReducer:
     """EM for the joint latent-factor model x = U z + e_x, y = v^T z + e_y.
 
     The expected second-moment matrix of the latents includes the posterior
     covariance scaled by the sample count.  The log-likelihood is monitored
     and must be nondecreasing (beyond 1e-8 relative) unless the variance
-    floor engaged; convergence is a relative log-likelihood change below tol.
+    floor engaged; convergence is a relative change below SPPCA_TOL.
     A stop at a step that floored a variance is a stop on round-off and is
     reported as not converged.
     The start, the EM steps and the log-likelihood read only the moments
     T^T T of T = [X y] (Tipping & Bishop, JRSS-B 1999).
     """
-    opts = opts or SppcaOptions()
     mom = data.moments
     n, p = mom.n, data.p
     if k > p:
@@ -462,7 +462,7 @@ def fit_sppca(data: Dataset, k: int, opts: SppcaOptions | None = None) -> Fitted
     ll_trace = [ll_prev]
     floored = floored_now = converged = False
     iterations = 0
-    for iterations in range(1, opts.max_iters + 1):
+    for iterations in range(1, SPPCA_MAX_ITERS + 1):
         # E-step: posterior moments of z given (x, y), M = T B
         a = eye_k + (u.T @ u) / sx2 + np.outer(v, v) / sy2
         a_inv = np.linalg.inv(a)
@@ -476,17 +476,18 @@ def fit_sppca(data: Dataset, k: int, opts: SppcaOptions | None = None) -> Fitted
         v = np.linalg.solve(s, mty)
         sx2_new = (xx - float(np.sum(u * xtm))) / (n * p)
         sy2_new = (mom.yy - float(v @ mty)) / n
-        floored_now = sx2_new < opts.variance_floor or sy2_new < opts.variance_floor
+        floored_now = (sx2_new < SPPCA_VARIANCE_FLOOR
+                       or sy2_new < SPPCA_VARIANCE_FLOOR)
         floored = floored or floored_now
-        sx2 = max(sx2_new, opts.variance_floor)
-        sy2 = max(sy2_new, opts.variance_floor)
+        sx2 = max(sx2_new, SPPCA_VARIANCE_FLOOR)
+        sy2 = max(sy2_new, SPPCA_VARIANCE_FLOOR)
 
         ll = _sppca_loglik(c, n, u, v, sx2, sy2)
         ll_trace.append(ll)
         if ll < ll_prev - 1e-8 * max(1.0, abs(ll_prev)) and not floored_now:
             raise RuntimeError(f"EM log-likelihood decreased at iteration "
                                f"{iterations}: {ll_prev} -> {ll}")
-        converged = abs(ll - ll_prev) < opts.tol * max(1.0, abs(ll_prev))
+        converged = abs(ll - ll_prev) < SPPCA_TOL * max(1.0, abs(ll_prev))
         ll_prev = ll
         if converged:
             break

@@ -92,6 +92,24 @@ METHODS = {
 DEFAULT_METHODS = tuple(METHODS)
 
 
+def check_methods(methods) -> None:
+    """Refuse an empty method list or a name not in ``METHODS``."""
+    if not methods:
+        raise ValueError("method list is empty")
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        raise ValueError(f"unknown methods {unknown}; "
+                         f"choose from {', '.join(METHODS)}")
+
+
+def check_gamma_grid(grid) -> None:
+    """Refuse an empty gamma grid, or one with a negative or NaN point."""
+    if not grid:
+        raise ValueError("gamma grid is empty")
+    if not all(g >= 0 for g in grid):
+        raise ValueError(f"gamma values must be >= 0, got {list(grid)}")
+
+
 @dataclass
 class MethodFit:
     """A fitted method: optional reducer plus the downstream linear model."""

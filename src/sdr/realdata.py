@@ -12,8 +12,13 @@ import numpy as np
 from .data import (Dataset, IngestError, center_dataset, csv_text,
                    fit_centering, load_csv)
 from .methods import (DEFAULT_GAMMA_GRID, DEFAULT_METHODS, attempt_fit,
-                      fit_sweep)
+                      check_gamma_grid, check_methods, fit_sweep)
 from .linalg import sym_eig_topk
+
+#: floor(TEST_FRACTION * N) rows are the test split, the rest train; the
+#: last round(VAL_FRACTION * train) training rows are the validation split.
+TEST_FRACTION = 0.2
+VAL_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
@@ -26,8 +31,6 @@ class RealDataConfig:
     k_min: int = 1
     k_max: int | None = None       # None: up to P
     seed: int = 0
-    test_fraction: float = 0.2     # floor(0.2 N) test rows, remainder train
-    val_fraction: float = 0.2      # carved from the training split
     gamma_grid: tuple = DEFAULT_GAMMA_GRID
 
     def __post_init__(self):
@@ -35,6 +38,11 @@ class RealDataConfig:
             raise ValueError("K range must start at 1 or above")
         if self.k_max is not None and self.k_max < self.k_min:
             raise ValueError("k_max must be >= the smallest K")
+        if len(self.delimiter) != 1:
+            raise ValueError(f"delimiter must be one character, got "
+                             f"{self.delimiter!r}")
+        check_methods(self.methods)
+        check_gamma_grid(self.gamma_grid)
 
 
 @dataclass
@@ -60,12 +68,12 @@ def run_real_data(config: RealDataConfig) -> RealDataResult:
     data, names = load_csv(config.path, config.response,
                            delimiter=config.delimiter, drop=tuple(config.drop))
     n, p = data.X.shape
-    n_test = int(math.floor(config.test_fraction * n))
+    n_test = int(math.floor(TEST_FRACTION * n))
     n_train = n - n_test
     rng = np.random.default_rng(config.seed)
     perm = rng.permutation(n)
     train_idx, test_idx = perm[:n_train], perm[n_train:]
-    n_val = int(round(config.val_fraction * n_train))
+    n_val = int(round(VAL_FRACTION * n_train))
     fit_idx, val_idx = train_idx[:n_train - n_val], train_idx[n_train - n_val:]
     if min(len(fit_idx), n_val, n_test) < 2:
         raise IngestError(f"{n} data rows split into {len(fit_idx)} fit, "

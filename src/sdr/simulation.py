@@ -13,13 +13,25 @@ import numpy as np
 
 from .data import Dataset, center_dataset, csv_text, fit_centering
 from .methods import (DEFAULT_GAMMA_GRID, DEFAULT_METHODS, METHODS,
-                      attempt_fit, fit_method, with_model)
+                      attempt_fit, check_gamma_grid, check_methods,
+                      fit_method, with_model)
 
 SPECTRUM_KINDS = ("fast", "slow")
 ALIGNMENT_KINDS = ("well", "mis", "partial")
 
 #: Sweep grid spanning the fully supervised to the PCA-like regime.
 DEFAULT_SWEEP_GRID = tuple(np.logspace(-4.0, 6.0, 21))
+
+#: Spectrum scale (the top eigenvalue of the slow kind) and the fast kind's
+#: geometric ratio.
+SPECTRUM_SCALE = 25.0
+FAST_DECAY = 0.85
+
+#: Rank of the response's signal subspace Phi.
+LATENT_DIM = 10
+
+#: Share of a trial's training budget carved off as its validation split.
+VAL_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
@@ -28,20 +40,16 @@ class SpectrumSpec:
 
     kind: str
     p: int = 100
-    scale: float = 25.0
-    decay: float = 0.85  # geometric ratio, fast kind only
 
     def __post_init__(self):
         if self.kind not in SPECTRUM_KINDS:
             raise ValueError(f"unknown spectrum kind {self.kind!r}")
-        if not 0 < self.decay < 1:
-            raise ValueError("decay ratio must be in (0, 1)")
 
     def eigenvalues(self) -> np.ndarray:
         i = np.arange(1, self.p + 1)
         if self.kind == "fast":
-            return self.scale * self.decay ** i
-        return self.scale * (self.p - i + 1) / self.p
+            return SPECTRUM_SCALE * FAST_DECAY ** i
+        return SPECTRUM_SCALE * (self.p - i + 1) / self.p
 
     @property
     def noise_sigma(self) -> float:
@@ -57,9 +65,7 @@ class TrialSpec:
     n_train: int
     seed: int
     n_test: int = 10000
-    latent_dim: int = 10
     noise_sigma: float | None = None  # None: spectrum default
-    val_fraction: float = 0.2
 
     def __post_init__(self):
         if self.alignment not in ALIGNMENT_KINDS:
@@ -73,7 +79,7 @@ class TrialSpec:
     @property
     def split(self) -> tuple[int, int]:
         """(fit rows, validation rows) of the training budget."""
-        n_val = int(round(self.val_fraction * self.n_train))
+        n_val = int(round(VAL_FRACTION * self.n_train))
         return self.n_train - n_val, n_val
 
     @property
@@ -86,7 +92,7 @@ class TrialData:
     train: Dataset       # fit portion (val already carved off)
     validation: Dataset
     test: Dataset
-    phi: np.ndarray      # P x latent_dim, orthonormal columns
+    phi: np.ndarray      # P x LATENT_DIM, orthonormal columns
     beta: np.ndarray     # P ground-truth coefficient vector
 
 
@@ -130,15 +136,15 @@ def generate_trial(spec: TrialSpec) -> TrialData:
     """Draw one trial: covariance from the spectrum and a random eigenbasis,
     Gaussian rows, and y = X Phi alpha + noise with alpha all ones.
 
-    The validation split is the last val_fraction of the training budget;
+    The validation split is the last VAL_FRACTION of the training budget;
     the returned train set is the remaining fit portion.
     """
     rng = np.random.default_rng(spec.seed)
     p = spec.spectrum.p
     lam = spec.spectrum.eigenvalues()
     v = _haar(rng, p)
-    phi = _phi_columns(v, spec.alignment, spec.latent_dim, rng)
-    beta = phi @ np.ones(spec.latent_dim)
+    phi = _phi_columns(v, spec.alignment, LATENT_DIM, rng)
+    beta = phi @ np.ones(LATENT_DIM)
     sqrt_lam = np.sqrt(lam)
 
     def draw(n: int) -> Dataset:
@@ -176,9 +182,8 @@ class BenchConfig:
             raise ValueError("trial count must be >= 1")
         if self.k < 1:  # K above P fails per trial, with the fit's error
             raise ValueError(f"K must be >= 1, got {self.k}")
-        unknown = set(self.methods) - set(METHODS)
-        if unknown:
-            raise ValueError(f"unknown methods: {sorted(unknown)}")
+        check_methods(self.methods)
+        check_gamma_grid(self.gamma_grid)
         # a bad setting is refused here, not when its first trial is drawn
         for spectrum, alignment, n_train in product(
                 self.spectra, self.alignments, self.train_sizes):
@@ -326,6 +331,10 @@ def report_to_table(report: BenchReport) -> str:
 # Balance-parameter sweep (paired trials)
 # ---------------------------------------------------------------------------
 
+#: Methods on the sweep, in the row order of the written curves.
+SWEEP_METHODS = ("lspca", "barshan", "pls")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     spectrum: str = "slow"
@@ -345,6 +354,13 @@ class SweepConfig:
             raise ValueError(f"K must lie in [1, {spectrum.p}], got {self.k}")
         for alignment in self.alignments:
             TrialSpec(spectrum, alignment, self.n_train, seed=0)
+        check_gamma_grid(self.grid)
+        for name in SWEEP_METHODS:  # each is fitted at every grid point
+            inside = METHODS[name].tuning_grid(self.grid)
+            if len(inside) < len(self.grid):
+                outside = [g for g in self.grid if g not in inside]
+                raise ValueError(f"gamma {outside} lies outside the domain "
+                                 f"{METHODS[name].gamma} of {name}")
 
 
 @dataclass
@@ -354,10 +370,6 @@ class SweepCurves:
     test_mse: dict          # method -> list of mean test MSEs, one per gamma
     pca_ref: float
     ols_ref: float
-
-
-#: Methods on the sweep, in the row order of the written curves.
-SWEEP_METHODS = ("lspca", "barshan", "pls")
 
 
 def gamma_sweep(config: SweepConfig) -> list[SweepCurves]:

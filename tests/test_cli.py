@@ -285,3 +285,104 @@ class TestUsage:
 
     def test_unknown_flag_is_usage_error(self):
         assert main(["simulate", "--frobnicate"]) == 2
+
+
+class TestConfigFile:
+    """A config file's keys are flag names, read by the flag parser."""
+
+    def _run(self, tmp_path, command, file_config, *flags):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(file_config))
+        return main([command, "--config", str(config), *flags,
+                     "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("file_config", [
+        {"trials": 1.7}, {"ntrain": 150.9}, {"k": True}, {"trails": 2},
+        {"tri": 1}, {"seed": "x"}, {"gamma-grid": ["1", "x"]}],
+        ids=["float-trials", "float-ntrain", "bool-k", "unknown-key",
+             "abbreviated-key", "text-seed", "bad-gamma"])
+    def test_bad_value_or_key_exit_2(self, tmp_path, capsys, file_config):
+        code = self._run(tmp_path, "simulate", file_config, "--methods",
+                         "pca", "--spectrum", "fast", "--alignment", "well")
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_unreadable_or_non_object_file_exit_2(self, tmp_path, capsys):
+        assert main(["simulate", "--config", str(tmp_path / "nope.json"),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+        assert self._run(tmp_path, "simulate", [1, 2]) == 2
+        assert "flat JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_lists_and_null(self, tmp_path):
+        # a list is comma-joined; null leaves the setting at its default
+        code = self._run(tmp_path, "simulate", {
+            "methods": ["pca", "ols"], "trials": 1, "spectrum": "fast",
+            "alignment": "well", "ntrain": 150, "k": None,
+            "gamma-grid": [0, 1, "inf"]})
+        assert code == 0
+        doc = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert doc["config"]["methods"] == ["pca", "ols"]
+        assert doc["config"]["k"] == 15
+        assert doc["config"]["gamma_grid"] == ["0.0", "1.0", "inf"]
+
+    def test_list_valued_drop(self, tmp_path):
+        code = self._run(tmp_path, "real-data", {"drop": ["c"]},
+                         "--data", str(_toy_csv(tmp_path)),
+                         "--response", "target", "--methods", "ols")
+        assert code == 0
+        doc = json.loads((tmp_path / "o" / "real_data.json").read_text())
+        assert doc["feature_names"] == ["a", "b"]
+
+    def test_data_and_response_from_file_only(self, tmp_path):
+        code = self._run(tmp_path, "real-data", {
+            "data": str(_toy_csv(tmp_path)), "response": "target",
+            "methods": "pca", "k-max": 1})
+        assert code == 0
+        rows = (tmp_path / "o" / "curves.csv").read_text().splitlines()
+        assert rows[1].startswith("pca,1,")
+
+
+class TestLibraryOwnsDefaultsAndChecks:
+    def test_ntrain_outside_old_choices_accepted(self, tmp_path):
+        assert main(["simulate", "--methods", "ols", "--trials", "1",
+                     "--spectrum", "fast", "--alignment", "well",
+                     "--ntrain", "40", "--out", str(tmp_path)]) == 0
+        assert "fast,well,40,ols," in (tmp_path / "report.csv").read_text()
+
+    def test_unknown_spectrum_or_alignment_flag_exit_2(self, tmp_path, capsys):
+        assert main(["sweep-gamma", "--spectrum", "medium",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "unknown spectrum kind 'medium'" in capsys.readouterr().err
+        assert main(["simulate", "--alignment", "sideways",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "unknown alignment 'sideways'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("grid", ["0,1", "0"])
+    def test_sweep_grid_outside_lspca_domain_exit_2(self, tmp_path, capsys,
+                                                    grid):
+        code = main(["sweep-gamma", "--trials", "1", "--gamma-grid", grid,
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "outside the domain (0, inf] of lspca" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--methods", "zebra"], ["--methods", ""], ["--gamma-grid", "nan"],
+        ["--gamma-grid", ""], ["--gamma-grid", "1,-2"],
+        ["--delimiter", ";;"]])
+    def test_real_data_bad_setting_exit_2(self, tmp_path, flags):
+        code = main(["real-data", "--data", str(_toy_csv(tmp_path)),
+                     "--response", "target", *flags,
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--out", "x"],
+                                      ["--config", "nope.json"]])
+    def test_oracle_check_takes_no_settings(self, flag):
+        assert main(["oracle-check", *flag]) == 2

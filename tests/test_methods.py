@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import sdr.methods as methods
-from sdr.cli import ConfigError, _parse_methods
+from sdr.cli import _methods
 from sdr.data import STATE_KINDS, Dataset
 from sdr.methods import (DEFAULT_GAMMA_GRID, DEFAULT_METHODS, GAMMA_NONNEGATIVE,
-                         GAMMA_POSITIVE, METHODS, fit_method)
+                         GAMMA_POSITIVE, METHODS, check_methods, fit_method)
 from sdr.simulation import BenchConfig
 
 
@@ -21,11 +21,13 @@ def _train_val(seed=0, n=40, p=5):
 
 class TestRegistry:
     def test_one_method_list(self):
-        with pytest.raises(ConfigError) as exc:
-            _parse_methods("zebra")
+        with pytest.raises(ValueError) as exc:
+            check_methods(_methods("zebra"))
         cli_choices = str(exc.value).split("choose from ")[1].split(", ")
         assert set(cli_choices) == set(DEFAULT_METHODS)
-        assert _parse_methods("all") == DEFAULT_METHODS
+        # 'all' leaves the config default, every method
+        assert _methods("all") is None
+        assert BenchConfig().methods == DEFAULT_METHODS
         assert set(DEFAULT_METHODS) == set(STATE_KINDS) | {"ols"}
 
     def test_report_row_order(self):

@@ -30,11 +30,12 @@ import numpy as np
 import pytest
 
 from sdr.data import Dataset, center_dataset, fit_centering, load_csv
-from sdr.intrinsic import (SppcaOptions, fit_barshan_extended, fit_lspca_grid,
+from sdr.intrinsic import (SPPCA_MAX_ITERS, SPPCA_TOL, SPPCA_VARIANCE_FLOOR,
+                           fit_barshan_extended, fit_lspca_grid,
                            fit_pls_extended, fit_pls_grid, fit_sppca)
 from sdr.linalg import DegenerateDirectionError, fix_signs, sym_eig_topk
 from sdr.methods import DEFAULT_GAMMA_GRID, pca_reducer
-from sdr.realdata import RealDataConfig
+from sdr.realdata import TEST_FRACTION, VAL_FRACTION
 from sdr.simulation import SpectrumSpec, TrialSpec, generate_trial
 
 #: Loadings agree to this multiple of their largest entry, noise scales and
@@ -62,7 +63,7 @@ def _sppca_loglik_data_form(t, u, v, sx2, sy2):
     return -0.5 * (n * ((p + 1) * math.log(2.0 * math.pi) + logdet) + quad)
 
 
-def _sppca_data_form(data, k, opts=SppcaOptions()):
+def _sppca_data_form(data, k):
     """(u, v, sigma_x, sigma_y, iterations, converged, floored, loglik trace)."""
     x, y = data.X, data.y
     n, p = x.shape
@@ -85,7 +86,7 @@ def _sppca_data_form(data, k, opts=SppcaOptions()):
     ll_prev = _sppca_loglik_data_form(t, u, v, sx2, sy2)
     trace = [ll_prev]
     floored = floored_now = converged = False
-    for iterations in range(1, opts.max_iters + 1):
+    for iterations in range(1, SPPCA_MAX_ITERS + 1):
         a_inv = np.linalg.inv(np.eye(k) + (u.T @ u) / sx2 + np.outer(v, v) / sy2)
         m = (x @ u / sx2 + np.outer(y, v) / sy2) @ a_inv
         s = n * a_inv + m.T @ m
@@ -94,13 +95,13 @@ def _sppca_data_form(data, k, opts=SppcaOptions()):
         v = np.linalg.solve(s, m.T @ y)
         sx2_new = (xx - float(np.sum(u * xtm))) / (n * p)
         sy2_new = (yy - float(v @ (m.T @ y))) / n
-        floored_now = min(sx2_new, sy2_new) < opts.variance_floor
+        floored_now = min(sx2_new, sy2_new) < SPPCA_VARIANCE_FLOOR
         floored |= floored_now
-        sx2 = max(sx2_new, opts.variance_floor)
-        sy2 = max(sy2_new, opts.variance_floor)
+        sx2 = max(sx2_new, SPPCA_VARIANCE_FLOOR)
+        sy2 = max(sy2_new, SPPCA_VARIANCE_FLOOR)
         ll = _sppca_loglik_data_form(t, u, v, sx2, sy2)
         trace.append(ll)
-        converged = abs(ll - ll_prev) < opts.tol * max(1.0, abs(ll_prev))
+        converged = abs(ll - ll_prev) < SPPCA_TOL * max(1.0, abs(ll_prev))
         ll_prev = ll
         if converged:
             break
@@ -176,9 +177,8 @@ def _wine_split(tmp_path):
     spec.loader.exec_module(module)
     module.write_wine_csv(7, tmp_path / "wine.csv")
     data, _ = load_csv(tmp_path / "wine.csv", "quality", delimiter=";")
-    config = RealDataConfig(path="", response="quality")
-    n_train = data.n - int(math.floor(config.test_fraction * data.n))
-    n_fit = n_train - int(round(config.val_fraction * n_train))
+    n_train = data.n - int(math.floor(TEST_FRACTION * data.n))
+    n_fit = n_train - int(round(VAL_FRACTION * n_train))
     fit = np.random.default_rng(7).permutation(data.n)[:n_fit]
     raw = Dataset(data.X[fit], data.y[fit])
     return center_dataset(raw, fit_centering(raw, unit_scale=True))

@@ -79,6 +79,21 @@ def test_k_range_validation():
         RealDataConfig(path="x.csv", response="y", k_min=3, k_max=2)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("methods", ("pca", "zebra"), r"unknown methods \['zebra'\]"),
+    ("methods", (), "method list is empty"),
+    ("gamma_grid", (), "gamma grid is empty"),
+    ("gamma_grid", (0.0, -1.0), "gamma values must be >= 0"),
+    ("gamma_grid", (1.0, math.nan), "gamma values must be >= 0"),
+    ("delimiter", "", "delimiter must be one character"),
+    ("delimiter", ";;", "delimiter must be one character"),
+])
+def test_config_rejects_bad_methods_or_gamma_grid(field, value, message):
+    # refused at construction, before any file is read
+    with pytest.raises(ValueError, match=message):
+        RealDataConfig(path="x.csv", response="y", **{field: value})
+
+
 def test_supervised_beats_pca_at_low_k(linear_csv):
     # response is a linear combination of raw features, so one supervised
     # direction should explain it far better than the top variance direction

@@ -164,8 +164,30 @@ class TestRunBenchmark:
         with pytest.raises(ValueError):
             BenchConfig(methods=("pca", "nope"))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("methods", (), "method list is empty"),
+        ("gamma_grid", (), "gamma grid is empty"),
+        ("gamma_grid", (1.0, -1e-3), "gamma values must be >= 0"),
+        ("gamma_grid", (float("nan"),), "gamma values must be >= 0"),
+    ])
+    def test_rejects_empty_methods_and_bad_gamma_grid(self, field, value,
+                                                      message):
+        with pytest.raises(ValueError, match=message):
+            BenchConfig(**{field: value})
+
 
 class TestGammaSweep:
+    @pytest.mark.parametrize("grid, message", [
+        ((0.0, 1.0),
+         r"gamma \[0.0\] lies outside the domain \(0, inf\] of lspca"),
+        ((), "gamma grid is empty"),
+        ((1.0, -1.0), "gamma values must be >= 0"),
+        ((float("nan"),), "gamma values must be >= 0"),
+    ])
+    def test_config_rejects_grid_outside_a_swept_domain(self, grid, message):
+        with pytest.raises(ValueError, match=message):
+            SweepConfig(grid=grid)
+
     def test_curves_shape_and_determinism(self):
         cfg = SweepConfig(alignments=("well",), n_trials=2,
                           grid=(1e-2, 1.0, 1e2), seed=5)

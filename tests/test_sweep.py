@@ -22,9 +22,9 @@ from sdr.data import (Dataset, FittedReducer, IngestError, SppcaState,
 from sdr.linalg import sym_eig_topk
 from sdr.methods import (DEFAULT_GAMMA_GRID, DEFAULT_METHODS, METHODS,
                          attempt_fit, fit_method, fit_sweep)
-from sdr.realdata import (CurvePoint, RealDataConfig, RealDataResult,
-                          curves_to_csv, result_to_json, run_real_data,
-                          spectrum_to_csv)
+from sdr.realdata import (TEST_FRACTION, VAL_FRACTION, CurvePoint,
+                          RealDataConfig, RealDataResult, curves_to_csv,
+                          result_to_json, run_real_data, spectrum_to_csv)
 from sdr.simulation import SpectrumSpec, TrialSpec, generate_trial
 
 NESTED = ("ols", "pca", "pv", "pcps", "pls")
@@ -48,11 +48,11 @@ def _per_k_run_real_data(config):
     data, names = load_csv(config.path, config.response,
                            delimiter=config.delimiter, drop=tuple(config.drop))
     n, p = data.X.shape
-    n_test = int(math.floor(config.test_fraction * n))
+    n_test = int(math.floor(TEST_FRACTION * n))
     n_train = n - n_test
     perm = np.random.default_rng(config.seed).permutation(n)
     train_idx, test_idx = perm[:n_train], perm[n_train:]
-    n_val = int(round(config.val_fraction * n_train))
+    n_val = int(round(VAL_FRACTION * n_train))
     fit_idx, val_idx = train_idx[:n_train - n_val], train_idx[n_train - n_val:]
     raw_fit, raw_val, raw_test = (Dataset(data.X[idx], data.y[idx])
                                   for idx in (fit_idx, val_idx, test_idx))
