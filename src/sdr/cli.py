@@ -180,11 +180,11 @@ def _cmd_real_data(args) -> int:
                      delimiter=args.delimiter, drop=args.drop,
                      methods=args.methods, k_min=args.k, k_max=args.k_max,
                      gamma_grid=args.gamma_grid, seed=args.seed)
-    out = _out_dir(args)
     try:
         result = run_real_data(config)
-    except (IngestError, FileNotFoundError) as exc:
+    except (IngestError, OSError) as exc:  # input that cannot be read or split
         raise ConfigError(str(exc)) from exc
+    out = _out_dir(args)
     (out / "curves.csv").write_text(curves_to_csv(result), encoding="utf-8")
     (out / "spectrum.csv").write_text(spectrum_to_csv(result), encoding="utf-8")
     (out / "real_data.json").write_text(result_to_json(result), encoding="utf-8")

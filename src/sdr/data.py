@@ -12,10 +12,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-#: Method tag of every fitted reducer -> the state field it populates.
-STATE_KINDS = {"pca": "basis", "bair": "basis", "pv": "pv_state",
-               "pcps": "basis", "pls": "basis", "barshan": "basis",
-               "lspca": "basis", "sppca": "sppca_state"}
+#: Method tag of every fitted reducer -> whether its basis is orthonormal.
+#: PV's deflations and SPPCA's posterior mean give oblique maps.
+ORTHONORMAL_BASIS = {"pca": True, "bair": True, "pv": False, "pcps": True,
+                     "pls": True, "barshan": True, "lspca": True,
+                     "sppca": False}
 
 #: Hyperparams holding one entry per component, in component order.
 PER_COMPONENT_HYPERPARAMS = ("m_per_component", "selected_components",
@@ -151,127 +152,63 @@ def center_dataset(data: Dataset, transform: CenteringTransform) -> Dataset:
     return Dataset(transform.apply(data.X), transform.apply_y(data.y))
 
 
-@dataclass(frozen=True)
-class PVStep:
-    """One iteration of the iterative select-project-deflate method."""
-
-    indices: np.ndarray    # selected variable indices, in rank order
-    direction: np.ndarray  # unit first-PC weights over the selected columns
-    deflation: np.ndarray  # P-vector b regressing all variables on the score
-
-
-@dataclass(frozen=True)
-class SppcaState:
-    """Latent-factor model parameters {U, v, sigma_x, sigma_y}."""
-
-    loadings: np.ndarray           # P x K, not necessarily orthogonal
-    response_loadings: np.ndarray  # K
-    sigma_x: float
-    sigma_y: float
-
-    def __post_init__(self):
-        if self.sigma_x < 0 or self.sigma_y < 0:
-            raise ValueError("noise scales must be nonnegative")
-        if not (np.all(np.isfinite(self.loadings))
-                and np.all(np.isfinite(self.response_loadings))):
-            raise ValueError("non-finite SPPCA parameters")
-
-
 @dataclass
 class FittedReducer:
-    """Fitted state of any method, under a uniform reduce() contract.
+    """A fitted method as the linear map it is: ``reduce`` sends a centered
+    row x to the K features ``x @ basis``.
 
-    Exactly one state variant must be populated, matching the method tag:
-    a P x K basis for the eigen/basis methods, per-iteration PV state, or
-    SPPCA model parameters.
+    ``basis`` is a finite P x K matrix, orthonormal unless the method's
+    ``ORTHONORMAL_BASIS`` entry says its map is oblique.
     """
 
     method: str
     k: int
-    basis: np.ndarray | None = None
-    pv_state: list[PVStep] | None = None
-    sppca_state: SppcaState | None = None
+    basis: np.ndarray
     hyperparams: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        kind = STATE_KINDS.get(self.method)
-        if kind is None:
+        orthonormal = ORTHONORMAL_BASIS.get(self.method)
+        if orthonormal is None:
             raise ValueError(f"unknown method tag {self.method!r}")
         if self.k < 1:
             raise ValueError("K must be >= 1")
-        states = [self.basis is not None, self.pv_state is not None,
-                  self.sppca_state is not None]
-        if sum(states) != 1:
-            raise ValueError("exactly one state variant must be populated")
-        if getattr(self, kind) is None:
-            raise ValueError(f"{self.method} requires {kind}")
-        if kind == "basis":
-            self.basis = np.asarray(self.basis, dtype=float)
-            p, k = self.basis.shape
-            if k != self.k:
-                raise ValueError(f"basis has {k} columns, expected K={self.k}")
-            if self.k > p:
-                raise ValueError("K must not exceed P")
-            gram = self.basis.T @ self.basis
-            err = np.linalg.norm(gram - np.eye(k))
-            if err > ORTHONORMAL_TOL:
+        self.basis = np.asarray(self.basis, dtype=float)
+        if self.basis.ndim != 2 or self.basis.shape[1] != self.k:
+            raise ValueError(f"basis of shape {self.basis.shape} is not "
+                             f"P x K with K={self.k}")
+        if self.k > self.basis.shape[0]:
+            raise ValueError("K must not exceed P")
+        if orthonormal:
+            err = np.linalg.norm(self.basis.T @ self.basis - np.eye(self.k))
+            if not err <= ORTHONORMAL_TOL:  # a non-finite basis fails it too
                 raise ValueError(f"basis is not orthonormal: ||U^T U - I|| = {err:.3e}")
-        elif kind == "pv_state":
-            if len(self.pv_state) != self.k:
-                raise ValueError("pv_state length must equal K")
-        elif self.sppca_state.loadings.shape[1] != self.k:
-            raise ValueError("loadings width must equal K")
+        elif not np.all(np.isfinite(self.basis)):
+            raise ValueError("non-finite basis entries")
 
     def prefix(self, k: int) -> "FittedReducer":
-        """The first k components: basis columns or PV steps, with the
-        per-component hyperparams cut to match.
+        """The first k basis columns, with the per-component hyperparams cut
+        to match.
 
         For a method whose fit at K is the first K components of its fit at
         any larger K (see ``Method.nested``), this is the fit at k.  The
-        basis copy keeps the fit's memory layout, so products with it round
-        as a fresh fit's do.
+        copy keeps the fit's memory layout, so products with it round as a
+        fresh fit's do.
         """
         if not 1 <= k <= self.k:
             raise ValueError(f"prefix K={k} must lie in [1, {self.k}]")
-        if self.sppca_state is not None:
-            raise ValueError("an SPPCA fit has no component prefix")
         hyper = {key: val[:k] if key in PER_COMPONENT_HYPERPARAMS else val
                  for key, val in self.hyperparams.items()}
-        if self.basis is not None:
-            return FittedReducer(self.method, k,
-                                 basis=self.basis[:, :k].copy(order="K"),
-                                 hyperparams=hyper)
-        return FittedReducer(self.method, k, pv_state=self.pv_state[:k],
-                             hyperparams=hyper)
-
-    @property
-    def p(self) -> int:
-        if self.basis is not None:
-            return self.basis.shape[0]
-        if self.pv_state is not None:
-            return len(self.pv_state[0].deflation)
-        return self.sppca_state.loadings.shape[0]
+        return FittedReducer(self.method, k, self.basis[:, :k].copy(order="K"),
+                             hyper)
 
 
 def reduce(reducer: FittedReducer, x_new: np.ndarray) -> np.ndarray:
     """Transform rows preprocessed by the fit-time centering into K features."""
     x = np.asarray(x_new, dtype=float)
-    if x.ndim != 2 or x.shape[1] != reducer.p:
-        raise ValueError(f"expected shape (*, {reducer.p}), got {x.shape}")
-    if reducer.basis is not None:
-        return x @ reducer.basis
-    if reducer.pv_state is not None:
-        z = np.empty((x.shape[0], reducer.k))
-        xk = x.copy()
-        for i, step in enumerate(reducer.pv_state):
-            zk = xk[:, step.indices] @ step.direction
-            z[:, i] = zk
-            xk -= np.outer(zk, step.deflation)
-        return z
-    st = reducer.sppca_state
-    u = st.loadings
-    gram = u.T @ u + st.sigma_x ** 2 * np.eye(reducer.k)
-    return np.linalg.solve(gram, u.T @ x.T).T
+    p = reducer.basis.shape[0]
+    if x.ndim != 2 or x.shape[1] != p:
+        raise ValueError(f"expected shape (*, {p}), got {x.shape}")
+    return x @ reducer.basis
 
 
 # ---------------------------------------------------------------------------
@@ -312,45 +249,19 @@ def _decode_hyper(v):
 
 
 def reducer_to_json(reducer: FittedReducer) -> str:
-    doc = {"method": reducer.method, "k": reducer.k}
-    if reducer.basis is not None:
-        doc["basis"] = reducer.basis.tolist()
-    if reducer.pv_state is not None:
-        doc["pv_state"] = [
-            {"indices": np.asarray(s.indices).tolist(),
-             "direction": np.asarray(s.direction).tolist(),
-             "deflation": np.asarray(s.deflation).tolist()}
-            for s in reducer.pv_state
-        ]
-    if reducer.sppca_state is not None:
-        st = reducer.sppca_state
-        doc["sppca_state"] = {"u": st.loadings.tolist(),
-                              "v": st.response_loadings.tolist(),
-                              "sigma_x": st.sigma_x,
-                              "sigma_y": st.sigma_y}
-    doc["hyperparams"] = json_safe(reducer.hyperparams)
-    return json.dumps(doc)
+    return json.dumps({"method": reducer.method, "k": reducer.k,
+                       "basis": reducer.basis.tolist(),
+                       "hyperparams": json_safe(reducer.hyperparams)})
 
 
 def reducer_from_json(text: str) -> FittedReducer:
     doc = json.loads(text)
-    basis = np.asarray(doc["basis"], dtype=float) if "basis" in doc else None
-    pv_state = None
-    if "pv_state" in doc:
-        pv_state = [PVStep(indices=np.asarray(s["indices"], dtype=int),
-                           direction=np.asarray(s["direction"], dtype=float),
-                           deflation=np.asarray(s["deflation"], dtype=float))
-                    for s in doc["pv_state"]]
-    sppca_state = None
-    if "sppca_state" in doc:
-        s = doc["sppca_state"]
-        sppca_state = SppcaState(loadings=np.asarray(s["u"], dtype=float),
-                                 response_loadings=np.asarray(s["v"], dtype=float),
-                                 sigma_x=float(s["sigma_x"]),
-                                 sigma_y=float(s["sigma_y"]))
-    return FittedReducer(method=doc["method"], k=int(doc["k"]), basis=basis,
-                         pv_state=pv_state, sppca_state=sppca_state,
-                         hyperparams=_decode_hyper(doc.get("hyperparams", {})))
+    missing = [key for key in ("method", "k", "basis") if key not in doc]
+    if missing:
+        raise ValueError(f"reducer document lacks {missing}")
+    return FittedReducer(doc["method"], int(doc["k"]),
+                         np.asarray(doc["basis"], dtype=float),
+                         _decode_hyper(doc.get("hyperparams", {})))
 
 
 # ---------------------------------------------------------------------------

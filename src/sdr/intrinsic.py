@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, FittedReducer, SppcaState, reduce
+from .data import Dataset, FittedReducer
 from .linalg import (DegenerateDirectionError, fix_signs,
                      orthonormalize, stiefel_step, sym_eig_top1, sym_eig_topk)
 
@@ -423,8 +423,41 @@ def _sppca_loglik(c, n, u, v, sx2, sy2) -> float:
     return -0.5 * (n * ((p + 1) * math.log(2.0 * math.pi) + logdet) + quad)
 
 
+@dataclass(frozen=True)
+class SppcaState:
+    """Latent-factor model parameters {U, v, sigma_x, sigma_y}."""
+
+    loadings: np.ndarray           # P x K, not necessarily orthogonal
+    response_loadings: np.ndarray  # K
+    sigma_x: float
+    sigma_y: float
+
+    def __post_init__(self):
+        if self.sigma_x < 0 or self.sigma_y < 0:
+            raise ValueError("noise scales must be nonnegative")
+        if not (np.all(np.isfinite(self.loadings))
+                and np.all(np.isfinite(self.response_loadings))):
+            raise ValueError("non-finite SPPCA parameters")
+
+    def posterior_map(self) -> np.ndarray:
+        """The P x K map W = U (U^T U + sigma_x^2 I)^-1 taking a centered x
+        to the posterior mean of its latents given x alone."""
+        u = self.loadings
+        gram = u.T @ u + self.sigma_x ** 2 * np.eye(u.shape[1])
+        return np.linalg.solve(gram, u.T).T.copy()
+
+
 def fit_sppca(data: Dataset, k: int) -> FittedReducer:
-    """EM for the joint latent-factor model x = U z + e_x, y = v^T z + e_y.
+    """SPPCA's reducer: the posterior-mean map of ``fit_sppca_model``'s
+    fitted parameters, with its EM record as hyperparams."""
+    state, hyper = fit_sppca_model(data, k)
+    return FittedReducer("sppca", k, state.posterior_map(), hyper)
+
+
+def fit_sppca_model(data: Dataset, k: int) -> tuple[SppcaState, dict]:
+    """EM for the joint latent-factor model x = U z + e_x, y = v^T z + e_y:
+    the fitted parameters and the EM record (iterations, convergence,
+    variance flooring and the log-likelihood trace).
 
     The expected second-moment matrix of the latents includes the posterior
     covariance scaled by the sample count.  The log-likelihood is monitored
@@ -494,16 +527,13 @@ def fit_sppca(data: Dataset, k: int) -> FittedReducer:
 
     state = SppcaState(loadings=u, response_loadings=v,
                        sigma_x=math.sqrt(sx2), sigma_y=math.sqrt(sy2))
-    return FittedReducer("sppca", k, sppca_state=state,
-                         hyperparams={"iterations": iterations,
-                                      "converged": converged and not floored_now,
-                                      "variance_floored": floored,
-                                      "loglik_trace": ll_trace})
+    return state, {"iterations": iterations,
+                   "converged": converged and not floored_now,
+                   "variance_floored": floored, "loglik_trace": ll_trace}
 
 
-def predict_sppca(reducer: FittedReducer, x_new: np.ndarray,
+def predict_sppca(state: SppcaState, x_new: np.ndarray,
                   y_mean: float = 0.0) -> np.ndarray:
     """Model-native prediction: posterior latent mean from x, then v^T z."""
-    if reducer.method != "sppca":
-        raise ValueError(f"expected an sppca reducer, got {reducer.method!r}")
-    return reduce(reducer, x_new) @ reducer.sppca_state.response_loadings + y_mean
+    z = np.asarray(x_new, dtype=float) @ state.posterior_map()
+    return z @ state.response_loadings + y_mean

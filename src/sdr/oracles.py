@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import Dataset, fit_centering, reduce
 from .intrinsic import (fit_barshan_extended, fit_lspca, fit_pls_extended,
-                        fit_sppca, predict_sppca)
+                        fit_sppca_model, predict_sppca)
 from .linalg import orthonormalize, stiefel_step, sym_eig_topk
 from .regression import ols_fit
 from .simulation import SpectrumSpec
@@ -149,8 +149,7 @@ def _oracle_sppca_model_recovery(inject: bool) -> OracleResult:
     x = z @ u_star.T + sigma * rng.standard_normal((n, p))
     y = z @ v_star + sigma * rng.standard_normal(n)
     data = Dataset(x - x.mean(axis=0), y - y.mean())
-    reducer = fit_sppca(data, k)
-    pred = predict_sppca(reducer, data.X)
+    pred = predict_sppca(fit_sppca_model(data, k)[0], data.X)
     err = float(np.mean((pred - data.y) ** 2))
     return OracleResult("sppca_model_recovery", err <= 10 * sigma ** 2,
                         f"prediction MSE = {err:.3e} (allowance {10 * sigma ** 2:.1e})")

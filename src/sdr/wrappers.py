@@ -8,11 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Dataset, FittedReducer, PVStep
+from .data import Dataset, FittedReducer
 from .linalg import DegenerateDirectionError, sym_eig_top1, sym_eig_topk
 from .regression import mse, ols_fit
-
-SCORE_KINDS = ("covariance", "pearson")
 
 
 def _pearson_pair(z: np.ndarray, y: np.ndarray) -> float:
@@ -22,34 +20,27 @@ def _pearson_pair(z: np.ndarray, y: np.ndarray) -> float:
     return float(abs(z @ y) / denom)
 
 
-def score_variables(x: np.ndarray, y: np.ndarray,
-                    kind: str = "pearson") -> tuple[np.ndarray, np.ndarray]:
-    """Per-column association scores and their descending ranking.
+def score_variables(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column Pearson scores |<x_j, y>| / (|x_j| |y|) and their
+    descending ranking.
 
-    "covariance" scores |<x_j, y>|; "pearson" normalizes by both vector
-    norms.  Columns whose norm is negligible at working precision (below
-    1e-12 of the largest column) score 0 under "pearson": a ratio of
-    round-off residues carries no signal.  Ties rank the lower column index
-    first.
+    Columns whose norm is negligible at working precision (below 1e-12 of
+    the largest column) score 0: a ratio of round-off residues carries no
+    signal.  Ties rank the lower column index first.
     """
-    if kind not in SCORE_KINDS:
-        raise ValueError(f"unknown score kind {kind!r}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     inner = np.abs(x.T @ y)
-    if kind == "covariance":
-        scores = inner
-    else:
-        norms = np.linalg.norm(x, axis=0)
-        live = norms > 1e-12 * norms.max(initial=0.0)
-        denom = norms * np.linalg.norm(y)
-        scores = np.divide(inner, denom, out=np.zeros_like(inner),
-                           where=live & (denom > 0))
+    norms = np.linalg.norm(x, axis=0)
+    live = norms > 1e-12 * norms.max(initial=0.0)
+    denom = norms * np.linalg.norm(y)
+    scores = np.divide(inner, denom, out=np.zeros_like(inner),
+                       where=live & (denom > 0))
     order = np.argsort(-scores, kind="stable")
     return scores, order
 
 
-def fit_bair(data: Dataset, k: int, score: str = "pearson") -> FittedReducer:
+def fit_bair(data: Dataset, k: int) -> FittedReducer:
     """Variable pre-selection, then PCA on the selected columns.
 
     Scans M = K..P top-scoring variables, runs K-component PCA on each column
@@ -62,7 +53,7 @@ def fit_bair(data: Dataset, k: int, score: str = "pearson") -> FittedReducer:
     n, p = x.shape
     if k > p:
         raise ValueError(f"K={k} exceeds P={p}")
-    _, order = score_variables(x, y, score)
+    _, order = score_variables(x, y)
     cov = data.moments.xx  # submatrices are slices of the full covariance
     best_mse = np.inf
     best_m = None
@@ -79,25 +70,27 @@ def fit_bair(data: Dataset, k: int, score: str = "pearson") -> FittedReducer:
             best_m = m
             best_basis = basis
     return FittedReducer("bair", k, basis=best_basis,
-                         hyperparams={"m": best_m, "score": score,
+                         hyperparams={"m": best_m, "score": "pearson",
                                       "selection_mse": best_mse})
 
 
-def fit_pv(data: Dataset, k: int, score: str = "pearson",
-           max_m: int | None = None) -> FittedReducer:
+def fit_pv(data: Dataset, k: int) -> FittedReducer:
     """Iterative selection: per component, pick the variable-count M whose
     submatrix first PC correlates best with y, then deflate all variables.
 
-    The variable ranking uses ``score``; candidate scores z vs y always use
-    the Pearson correlation.  y itself is never deflated.
+    Variables are ranked, and candidate scores z scored against y, by the
+    Pearson correlation.  y itself is never deflated.  The deflations
+    compose into one P x K map: with the deflated data X M, component i is
+    z = X M d_i for the selected direction d_i embedded in P dimensions, so
+    W[:, i] = M d_i, and deflating by z b_i^T takes M to M - W[:, i] b_i^T.
     """
     x, y = data.X, data.y
     n, p = x.shape
     if k > p:
         raise ValueError(f"K={k} exceeds P={p}")
-    m_cap = p if max_m is None else min(max_m, p)
     xk = x.copy()
-    steps: list[PVStep] = []
+    deflated = np.eye(p)  # M, with xk = X M up to rounding
+    basis = np.zeros((p, k))
     m_chosen = []
     # deflation round-off is proportional to the *original* data scale, so
     # candidates whose score vector falls below it are unusable: their
@@ -105,15 +98,14 @@ def fit_pv(data: Dataset, k: int, score: str = "pearson",
     # zero.  The scan skips them.
     dust_sq = (1e-12 ** 2) * max(float(np.sum(x * x)), 1e-300)
     for it in range(1, k + 1):
-        _, order = score_variables(xk, y, score)
+        _, order = score_variables(xk, y)
         cov = xk.T @ xk
         # the candidates' submatrices are the leading blocks of the ordered
         # covariance: one stacked top-eigenvector solve covers them all
-        lead = order[:m_cap]
-        _, directions = sym_eig_top1(cov[np.ix_(lead, lead)],
-                                     sizes=np.arange(1, m_cap + 1))
+        _, directions = sym_eig_top1(cov[np.ix_(order, order)],
+                                     sizes=np.arange(1, p + 1))
         best = None  # (pearson score of z vs y, m, indices, direction, z)
-        for m in range(1, m_cap + 1):
+        for m in range(1, p + 1):
             idx = order[:m]
             direction = directions[m - 1, :m]
             z = xk[:, idx] @ direction
@@ -126,17 +118,16 @@ def fit_pv(data: Dataset, k: int, score: str = "pearson",
             raise DegenerateDirectionError(it, "all candidate score vectors are "
                                                f"zero at iteration {it}")
         _, m, idx, direction, z = best
-        z_sq = float(z @ z)
-        b = xk.T @ z / z_sq
-        steps.append(PVStep(indices=idx, direction=direction.copy(),
-                            deflation=b))
+        b = xk.T @ z / float(z @ z)
+        basis[:, it - 1] = deflated[:, idx] @ direction
+        deflated -= np.outer(basis[:, it - 1], b)
         m_chosen.append(m)
         xk = xk - np.outer(z, b)
-    return FittedReducer("pv", k, pv_state=steps,
-                         hyperparams={"score": score, "m_per_component": m_chosen})
+    return FittedReducer("pv", k, basis,
+                         hyperparams={"score": "pearson", "m_per_component": m_chosen})
 
 
-def fit_pcps(data: Dataset, k: int, score: str = "pearson") -> FittedReducer:
+def fit_pcps(data: Dataset, k: int) -> FittedReducer:
     """Full PCA, then keep the K components scoring highest against y.
 
     Only the min(P, N-1) leading components of centered data carry variance
@@ -150,9 +141,9 @@ def fit_pcps(data: Dataset, k: int, score: str = "pearson") -> FittedReducer:
         raise ValueError(f"K={k} exceeds the {n_scored} nonzero-variance components")
     pairs = sym_eig_topk(data.moments.xx, n_scored)
     z = x @ pairs.vectors
-    scores, order = score_variables(z, y, score)
+    scores, order = score_variables(z, y)
     selected = order[:k]
     return FittedReducer("pcps", k, basis=pairs.vectors[:, selected],
-                         hyperparams={"score": score,
+                         hyperparams={"score": "pearson",
                                       "selected_components": selected.tolist(),
                                       "component_scores": scores[selected].tolist()})

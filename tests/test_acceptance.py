@@ -11,7 +11,7 @@ import pytest
 
 from sdr.data import Dataset, reduce
 from sdr.intrinsic import (fit_barshan_extended, fit_lspca, fit_pls_extended,
-                           fit_sppca, predict_sppca)
+                           fit_sppca, fit_sppca_model, predict_sppca)
 from sdr.linalg import orthonormalize
 from sdr.oracles import sphere_grid
 from sdr.realdata import RealDataConfig, run_real_data
@@ -201,7 +201,7 @@ def test_criterion_8_em_monotonicity_and_recovery():
     x = z @ u_star.T + sigma * rng.standard_normal((n, p))
     y = z @ v_star + sigma * rng.standard_normal(n)
     data = _centered(x, y)
-    pred = predict_sppca(fit_sppca(data, k), data.X)
+    pred = predict_sppca(fit_sppca_model(data, k)[0], data.X)
     recovery = float(np.mean((pred - data.y) ** 2))
     elapsed = time.monotonic() - t0
     ok = worst_drop <= 1e-8 and recovery <= 10 * sigma ** 2 and elapsed < 120

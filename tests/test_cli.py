@@ -262,6 +262,27 @@ class TestRealData:
         assert "K=5 exceeds P=3" in capsys.readouterr().err
         assert not (out / "curves.csv").exists()
 
+    def test_directory_as_data_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["real-data", "--data", str(tmp_path), "--response", "y",
+                     "--out", str(out)])
+        assert code == 2
+        assert "directory" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, bad_cell", [
+        (["--response", "quality"], False),
+        (["--response", "target"], True),
+        (["--response", "target", "--k", "5"], False)],
+        ids=["missing-response", "non-numeric-cell", "smallest-k-above-p"])
+    def test_rejected_input_leaves_no_output_directory(self, tmp_path, flags,
+                                                       bad_cell):
+        out = tmp_path / "o"
+        csv_path = _toy_csv(tmp_path, bad_cell=bad_cell)
+        assert main(["real-data", "--data", str(csv_path), *flags,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestOracleCheck:
     def test_passes_within_time_budget(self, capsys):

@@ -1,11 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from sdr.data import (Dataset, FittedReducer, IngestError, PVStep, SppcaState,
-                      csv_text, fit_centering, json_safe, load_csv, reduce,
+from sdr.data import (Dataset, FittedReducer, IngestError, csv_text,
+                      fit_centering, json_safe, load_csv, reduce,
                       reducer_from_json, reducer_to_json)
+from sdr.intrinsic import SppcaState, fit_sppca
+from sdr.wrappers import fit_pv
 
 
 def _unit_cols(*cols):
@@ -91,17 +94,18 @@ class TestReduce:
         np.testing.assert_array_equal(reduce(reducer, x), x[:, :2])
 
     def test_pv_single_step_selects_column(self):
-        step = PVStep(indices=np.array([1]), direction=np.array([1.0]),
-                      deflation=np.array([0.0, 1.0, 0.0]))
-        reducer = FittedReducer("pv", 1, pv_state=[step])
-        x = np.arange(6.0).reshape(2, 3)
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((20, 3))
+        x -= x.mean(axis=0)
+        reducer = fit_pv(Dataset(x, x[:, 1]), 1)
+        np.testing.assert_array_equal(reducer.basis[:, 0], [0.0, 1.0, 0.0])
         np.testing.assert_array_equal(reduce(reducer, x)[:, 0], x[:, 1])
 
     def test_sppca_zero_noise_orthonormal_is_projection(self):
         u = _unit_cols([1, 0, 0], [0, 1, 0])
         state = SppcaState(loadings=u, response_loadings=np.array([1.0, 2.0]),
                            sigma_x=0.0, sigma_y=1.0)
-        reducer = FittedReducer("sppca", 2, sppca_state=state)
+        reducer = FittedReducer("sppca", 2, state.posterior_map())
         x = np.arange(6.0).reshape(2, 3)
         np.testing.assert_allclose(reduce(reducer, x), x @ u, atol=1e-12)
 
@@ -120,15 +124,26 @@ class TestReduce:
 
 class TestFittedReducerValidation:
     def test_requires_matching_state(self):
-        with pytest.raises(ValueError, match="basis"):
-            FittedReducer("pca", 1, pv_state=[PVStep(np.array([0]),
-                                                     np.array([1.0]),
-                                                     np.array([1.0]))])
+        # the tag says whether the map may be oblique
+        oblique = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
+        for method in ("pv", "sppca"):
+            assert FittedReducer(method, 2, oblique).basis is not None
+        with pytest.raises(ValueError, match="orthonormal"):
+            FittedReducer("pls", 2, oblique)
 
-    def test_rejects_two_states(self):
-        state = SppcaState(np.eye(2), np.ones(2), 1.0, 1.0)
-        with pytest.raises(ValueError, match="exactly one"):
-            FittedReducer("sppca", 2, basis=np.eye(2), sppca_state=state)
+    def test_rejects_non_finite_basis(self):
+        basis = np.eye(3)[:, :2]
+        basis[0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            FittedReducer("pv", 2, basis)
+        with pytest.raises(ValueError, match="orthonormal"):
+            FittedReducer("pca", 2, basis)
+
+    def test_rejects_basis_not_p_by_k(self):
+        with pytest.raises(ValueError, match="P x K"):
+            FittedReducer("pv", 2, np.ones(3))
+        with pytest.raises(ValueError, match="P x K"):
+            FittedReducer("pv", 2, np.ones((3, 1)))
 
     def test_rejects_non_orthonormal_basis(self):
         with pytest.raises(ValueError, match="orthonormal"):
@@ -154,30 +169,38 @@ class TestSerialization:
         assert np.array_equal(back.basis, basis)
         assert back.hyperparams == reducer.hyperparams
 
-    def test_pv_roundtrip_bitwise(self):
+    def _fitted_data(self):
         rng = np.random.default_rng(5)
-        steps = [PVStep(indices=np.array([2, 0]),
-                        direction=rng.standard_normal(2),
-                        deflation=rng.standard_normal(4)) for _ in range(2)]
-        reducer = FittedReducer("pv", 2, pv_state=steps,
-                                hyperparams={"score": "pearson"})
+        x = rng.standard_normal((40, 6))
+        y = x @ rng.standard_normal(6) + rng.standard_normal(40)
+        return Dataset(x - x.mean(axis=0), y - y.mean()), rng.standard_normal((9, 6))
+
+    def test_pv_roundtrip_bitwise(self):
+        data, x_new = self._fitted_data()
+        reducer = fit_pv(data, 3)
         back = reducer_from_json(reducer_to_json(reducer))
-        for a, b in zip(back.pv_state, steps):
-            assert np.array_equal(a.indices, b.indices)
-            assert np.array_equal(a.direction, b.direction)
-            assert np.array_equal(a.deflation, b.deflation)
+        assert (back.method, back.k) == ("pv", 3)
+        assert back.hyperparams == reducer.hyperparams
+        assert reduce(back, x_new).tobytes() == reduce(reducer, x_new).tobytes()
 
     def test_sppca_roundtrip_and_infinite_gamma(self):
-        rng = np.random.default_rng(6)
-        state = SppcaState(loadings=rng.standard_normal((4, 2)),
-                           response_loadings=rng.standard_normal(2),
-                           sigma_x=0.3, sigma_y=0.7)
-        reducer = FittedReducer("sppca", 2, sppca_state=state,
-                                hyperparams={"gamma": math.inf})
+        data, x_new = self._fitted_data()
+        reducer = fit_sppca(data, 2)
+        reducer.hyperparams["gamma"] = math.inf
         back = reducer_from_json(reducer_to_json(reducer))
-        assert np.array_equal(back.sppca_state.loadings, state.loadings)
-        assert back.sppca_state.sigma_x == 0.3
+        assert (back.method, back.k) == ("sppca", 2)
+        assert back.hyperparams == reducer.hyperparams
         assert back.hyperparams["gamma"] == math.inf
+        assert reduce(back, x_new).tobytes() == reduce(reducer, x_new).tobytes()
+
+    def test_document_without_basis_rejected(self):
+        # the per-method state documents written before every reducer was
+        # one basis
+        old = json.dumps({"method": "pv", "k": 1, "pv_state": [
+            {"indices": [0], "direction": [1.0], "deflation": [1.0, 0.0]}],
+            "hyperparams": {}})
+        with pytest.raises(ValueError, match="basis"):
+            reducer_from_json(old)
 
 
 class TestJsonSafe:

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from sdr.data import Dataset, FittedReducer, SppcaState, reduce
-from sdr.intrinsic import (LspcaOptions, fit_barshan_extended, fit_lspca,
-                           fit_pls_extended, fit_sppca, predict_sppca)
+from sdr.data import Dataset, reduce
+from sdr.intrinsic import (LspcaOptions, SppcaState, fit_barshan_extended,
+                           fit_lspca, fit_pls_extended, fit_sppca,
+                           fit_sppca_model, predict_sppca)
 from sdr.linalg import DegenerateDirectionError, orthonormalize, sym_eig_topk
 
 
@@ -247,8 +248,8 @@ class TestSPPCA:
 
     def test_model_recovery_prediction(self):
         data, sigma = self._model_data(21)
-        reducer = fit_sppca(data, 3)
-        pred = predict_sppca(reducer, data.X)
+        state, _ = fit_sppca_model(data, 3)
+        pred = predict_sppca(state, data.X)
         assert float(np.mean((pred - data.y) ** 2)) <= 10 * sigma ** 2
         corr = np.corrcoef(pred, data.y)[0, 1]
         assert corr >= 0.99
@@ -276,8 +277,8 @@ class TestSPPCA:
             + 0.01 * rng.standard_normal((n, p))
         y = x @ weak + 0.01 * rng.standard_normal(n)
         data = _centered(x, y)
-        reducer = fit_sppca(data, 3)
-        learned = orthonormalize(reducer.sppca_state.loadings)
+        state, _ = fit_sppca_model(data, 3)
+        learned = orthonormalize(state.loadings)
         pca = sym_eig_topk(data.X.T @ data.X, 3).vectors
         assert np.linalg.norm(_projector(learned) - _projector(pca)) <= 0.1
 
@@ -285,19 +286,14 @@ class TestSPPCA:
         state = SppcaState(loadings=np.eye(3)[:, :2],
                            response_loadings=np.array([1.0, -1.0]),
                            sigma_x=0.5, sigma_y=0.5)
-        reducer = FittedReducer("sppca", 2, sppca_state=state)
-        pred = predict_sppca(reducer, np.zeros((2, 3)), y_mean=4.5)
+        pred = predict_sppca(state, np.zeros((2, 3)), y_mean=4.5)
         np.testing.assert_allclose(pred, [4.5, 4.5])
-
-    def test_predict_rejects_wrong_tag(self):
-        reducer = FittedReducer("pca", 1, basis=np.eye(2)[:, :1])
-        with pytest.raises(ValueError, match="sppca"):
-            predict_sppca(reducer, np.zeros((1, 2)))
 
     def test_reduce_matches_posterior_map(self):
         data, _ = self._model_data(23, n=100, p=5, k=2)
         reducer = fit_sppca(data, 2)
-        st = reducer.sppca_state
+        st, hyper = fit_sppca_model(data, 2)
+        assert hyper == reducer.hyperparams
         gram = st.loadings.T @ st.loadings + st.sigma_x ** 2 * np.eye(2)
         expected = np.linalg.solve(gram, st.loadings.T @ data.X.T).T
         np.testing.assert_allclose(reduce(reducer, data.X), expected, atol=1e-12)

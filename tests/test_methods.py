@@ -5,7 +5,7 @@ import pytest
 
 import sdr.methods as methods
 from sdr.cli import _methods
-from sdr.data import STATE_KINDS, Dataset
+from sdr.data import ORTHONORMAL_BASIS, Dataset
 from sdr.methods import (DEFAULT_GAMMA_GRID, DEFAULT_METHODS, GAMMA_NONNEGATIVE,
                          GAMMA_POSITIVE, METHODS, check_methods, fit_method)
 from sdr.simulation import BenchConfig
@@ -28,7 +28,7 @@ class TestRegistry:
         # 'all' leaves the config default, every method
         assert _methods("all") is None
         assert BenchConfig().methods == DEFAULT_METHODS
-        assert set(DEFAULT_METHODS) == set(STATE_KINDS) | {"ols"}
+        assert set(DEFAULT_METHODS) == set(ORTHONORMAL_BASIS) | {"ols"}
 
     def test_report_row_order(self):
         assert DEFAULT_METHODS == ("ols", "pca", "bair", "pv", "pcps",

@@ -32,7 +32,8 @@ import pytest
 from sdr.data import Dataset, center_dataset, fit_centering, load_csv
 from sdr.intrinsic import (SPPCA_MAX_ITERS, SPPCA_TOL, SPPCA_VARIANCE_FLOOR,
                            fit_barshan_extended, fit_lspca_grid,
-                           fit_pls_extended, fit_pls_grid, fit_sppca)
+                           fit_pls_extended, fit_pls_grid, fit_sppca,
+                           fit_sppca_model)
 from sdr.linalg import DegenerateDirectionError, fix_signs, sym_eig_topk
 from sdr.methods import DEFAULT_GAMMA_GRID, pca_reducer
 from sdr.realdata import TEST_FRACTION, VAL_FRACTION
@@ -210,14 +211,12 @@ def case(request, tmp_path_factory):
 
 
 def _assert_sppca_matches(data, k, equal_iterations=True):
-    fit = fit_sppca(data, k)
+    st, hyper = fit_sppca_model(data, k)
     u, v, sx, sy, iters, converged, floored, trace = _sppca_data_form(data, k)
-    hyper = fit.hyperparams
     assert (hyper["converged"], hyper["variance_floored"]) == (converged, floored)
     if equal_iterations:
         assert hyper["iterations"] == iters
         np.testing.assert_allclose(hyper["loglik_trace"], trace, rtol=LOGLIK_RTOL, atol=0)
-    st = fit.sppca_state
     for new, ref in ((st.loadings, u), (st.response_loadings, v)):
         np.testing.assert_allclose(new, ref, rtol=0,
                                    atol=LOADING_RTOL * np.abs(ref).max())
@@ -329,7 +328,7 @@ class TestDatasetMoments:
         hidden.y[:] = np.nan
         grid = [0.0, 0.5, math.inf]
         fits = [
-            (lambda d: fit_sppca(d, 3).sppca_state.loadings),
+            (lambda d: fit_sppca(d, 3).basis),
             (lambda d: np.stack([f.basis for f in fit_pls_grid(d, 4, grid)])),
             (lambda d: np.stack([fit_barshan_extended(d, 3, g).basis for g in grid])),
             (lambda d: np.stack([r.basis for r, _ in fit_lspca_grid(d, 3, [0.5, math.inf])])),

@@ -17,8 +17,8 @@ import pytest
 
 import sdr.intrinsic
 import sdr.wrappers
-from sdr.data import (Dataset, FittedReducer, IngestError, SppcaState,
-                      center_dataset, fit_centering, load_csv)
+from sdr.data import (Dataset, FittedReducer, IngestError, center_dataset,
+                      fit_centering, load_csv)
 from sdr.linalg import sym_eig_topk
 from sdr.methods import (DEFAULT_GAMMA_GRID, DEFAULT_METHODS, METHODS,
                          attempt_fit, fit_method, fit_sweep)
@@ -164,16 +164,9 @@ def _fits(name, data, k):
 
 def _assert_bitwise_equal(a: FittedReducer, b: FittedReducer):
     assert (a.method, a.k) == (b.method, b.k)
-    if b.basis is not None:
-        for layout in ("C_CONTIGUOUS", "F_CONTIGUOUS"):
-            assert a.basis.flags[layout] == b.basis.flags[layout]
-        assert a.basis.tobytes() == b.basis.tobytes()
-    else:
-        assert len(a.pv_state) == len(b.pv_state)
-        for sa, sb in zip(a.pv_state, b.pv_state):
-            for field in ("indices", "direction", "deflation"):
-                assert (getattr(sa, field).tobytes()
-                        == getattr(sb, field).tobytes())
+    for layout in ("C_CONTIGUOUS", "F_CONTIGUOUS"):
+        assert a.basis.flags[layout] == b.basis.flags[layout]
+    assert a.basis.tobytes() == b.basis.tobytes()
     assert a.hyperparams == b.hyperparams
 
 
@@ -220,11 +213,6 @@ class TestPrefix:
     def test_k_out_of_range(self, k):
         with pytest.raises(ValueError, match=r"must lie in \[1, 4\]"):
             self._basis_reducer().prefix(k)
-
-    def test_sppca_has_no_prefix(self):
-        state = SppcaState(np.ones((3, 2)), np.ones(2), 0.1, 0.1)
-        with pytest.raises(ValueError, match="no component prefix"):
-            FittedReducer("sppca", 2, sppca_state=state).prefix(1)
 
 
 # ---------------------------------------------------------------------------

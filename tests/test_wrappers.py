@@ -26,32 +26,30 @@ class TestScoreVariables:
     def test_perfectly_aligned(self):
         x = np.array([[-1.0], [0.0], [1.0]])
         y = np.array([-1.0, 0.0, 1.0])
-        assert score_variables(x, y, "covariance")[0][0] == pytest.approx(2.0)
-        assert score_variables(x, y, "pearson")[0][0] == pytest.approx(1.0)
+        assert score_variables(x, y)[0][0] == pytest.approx(1.0)
 
     def test_orthogonal_scores_zero(self):
         x = np.array([[-1.0], [0.0], [1.0]])
         y = np.array([1.0, -2.0, 1.0])
-        assert score_variables(x, y, "covariance")[0][0] == pytest.approx(0.0)
-        assert score_variables(x, y, "pearson")[0][0] == pytest.approx(0.0)
+        assert score_variables(x, y)[0][0] == pytest.approx(0.0)
 
     def test_covariance_scales_pearson_does_not(self):
         x = np.array([[-2.0], [0.0], [2.0]])
         y = np.array([-1.0, 0.0, 1.0])
-        assert score_variables(x, y, "covariance")[0][0] == pytest.approx(4.0)
-        assert score_variables(x, y, "pearson")[0][0] == pytest.approx(1.0)
+        assert abs(x[:, 0] @ y) == pytest.approx(4.0)  # the covariance scales
+        assert score_variables(x, y)[0][0] == pytest.approx(1.0)
 
     def test_zero_variance_column_scores_zero(self):
         x = np.column_stack([np.zeros(4), np.array([-1.0, 0.0, 0.0, 1.0])])
         y = np.array([-1.0, 0.0, 0.0, 1.0])
-        scores, order = score_variables(x, y, "pearson")
+        scores, order = score_variables(x, y)
         assert scores[0] == 0.0
         assert order[0] == 1
 
     def test_ranking_tie_breaks_low_index(self):
         x = np.array([[-1.0, -1.0], [1.0, 1.0]])
         y = np.array([-1.0, 1.0])
-        _, order = score_variables(x, y, "pearson")
+        _, order = score_variables(x, y)
         assert list(order) == [0, 1]
 
     @settings(deadline=None, max_examples=30)
@@ -62,16 +60,9 @@ class TestScoreVariables:
         y = rng.standard_normal(20)
         x2 = x.copy()
         x2[:, 1] *= scale
-        p1 = score_variables(x, y, "pearson")[0]
-        p2 = score_variables(x2, y, "pearson")[0]
+        p1 = score_variables(x, y)[0]
+        p2 = score_variables(x2, y)[0]
         np.testing.assert_allclose(p2, p1, rtol=1e-10)
-        c1 = score_variables(x, y, "covariance")[0]
-        c2 = score_variables(x2, y, "covariance")[0]
-        assert c2[1] == pytest.approx(scale * c1[1], rel=1e-10)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            score_variables(np.zeros((2, 1)), np.zeros(2), "tstat")
 
 
 class TestBair:
@@ -98,7 +89,7 @@ class TestBair:
         assert abs(reducer.basis[0, 0]) >= 0.99
 
         # oracle: enumerate every M by hand and compare the winner
-        _, order = score_variables(data.X, data.y, "pearson")
+        _, order = score_variables(data.X, data.y)
         best = None
         for m in range(1, 4):
             idx = order[:m]
@@ -149,9 +140,8 @@ class TestPV:
         x -= x.mean(axis=0)
         data = Dataset(x, x[:, 2])
         reducer = fit_pv(data, 1)
-        step = reducer.pv_state[0]
-        assert list(step.indices) == [2]
-        np.testing.assert_allclose(step.direction, [1.0])
+        assert reducer.hyperparams["m_per_component"] == [1]
+        np.testing.assert_allclose(reducer.basis[:, 0], np.eye(4)[2])
         np.testing.assert_allclose(reduce(reducer, data.X)[:, 0], x[:, 2])
 
     @pytest.mark.parametrize("seed", range(10))
@@ -165,19 +155,16 @@ class TestPV:
                 assert abs(z[:, i] @ z[:, j]) <= bound
 
     def test_deflation_orthogonality_replay(self):
+        # each score is a combination of the data deflated by the scores
+        # before it
         data = _random_dataset(11, n=50, p=8)
-        reducer = fit_pv(data, 4)
+        z = reduce(fit_pv(data, 4), data.X)
         xk = data.X.copy()
-        for step in reducer.pv_state:
-            z = xk[:, step.indices] @ step.direction
-            xk = xk - np.outer(z, step.deflation)
-            rel = np.abs(xk.T @ z).max() / (z @ z)
-            assert rel <= 1e-8
-
-    def test_max_m_cap(self):
-        data = _random_dataset(12, n=40, p=6)
-        reducer = fit_pv(data, 2, max_m=3)
-        assert all(m <= 3 for m in reducer.hyperparams["m_per_component"])
+        for i in range(4):
+            zi = z[:, i]
+            coef = np.linalg.lstsq(xk, zi, rcond=None)[0]
+            assert np.linalg.norm(xk @ coef - zi) <= 1e-8 * np.linalg.norm(zi)
+            xk = xk - np.outer(zi, xk.T @ zi / (zi @ zi))
 
     def test_rank_exhaustion_aborts(self):
         # rank-1 data: one deflation annihilates everything, so a second
@@ -205,7 +192,7 @@ class TestConstantResponse:
 
     def test_pv_proceeds(self):
         reducer = fit_pv(self._flat_data(), 2)
-        assert len(reducer.pv_state) == 2
+        assert reducer.basis.shape == (4, 2)
 
     def test_pcps_keeps_eigen_order(self):
         reducer = fit_pcps(self._flat_data(), 2)
