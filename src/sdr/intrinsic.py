@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -190,12 +191,15 @@ def fit_barshan_extended(data: Dataset, k: int, gamma: float) -> FittedReducer:
 # Least-squares PCA
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LspcaOptions:
-    max_iters: int = 500
-    tol: float = 1e-9          # relative objective decrease for convergence
-    initial_step: float = 1.0
-    min_step: float = 1e-20
+#: An LSPCA descent starts at step size LSPCA_INITIAL_STEP, doubled after an
+#: accepted step and halved after a rejected one.  It stops converged once a
+#: step lowers the objective by less than LSPCA_TOL relative, or once the
+#: step falls below LSPCA_MIN_STEP (no descent direction at machine
+#: precision); it stops unconverged when its LSPCA_MAX_ITERS-th step is taken.
+LSPCA_MAX_ITERS = 500
+LSPCA_TOL = 1e-9
+LSPCA_INITIAL_STEP = 1.0
+LSPCA_MIN_STEP = 1e-20
 
 
 @dataclass
@@ -207,8 +211,7 @@ class LspcaSolution:
     n_iters: int = 0
 
 
-def fit_lspca(data: Dataset, k: int, gamma: float,
-              opts: LspcaOptions | None = None) -> tuple[FittedReducer, LspcaSolution]:
+def fit_lspca(data: Dataset, k: int, gamma: float) -> tuple[FittedReducer, LspcaSolution]:
     """Minimize |y - X U beta|^2 + gamma |X - X U U^T|^2 over orthonormal U.
 
     Alternates a closed-form beta with one projected-gradient step on U (QR
@@ -221,11 +224,10 @@ def fit_lspca(data: Dataset, k: int, gamma: float,
 
     This is the one-gamma call of ``fit_lspca_grid``.
     """
-    return fit_lspca_grid(data, k, [gamma], opts)[0]
+    return fit_lspca_grid(data, k, [gamma])[0]
 
 
-def fit_lspca_grid(data: Dataset, k: int, gammas,
-                   opts: LspcaOptions | None = None
+def fit_lspca_grid(data: Dataset, k: int, gammas
                    ) -> list[tuple[FittedReducer, LspcaSolution]]:
     """LSPCA at every gamma of a grid: ``[(reducer, solution), ...]`` in grid
     order, each as ``fit_lspca`` describes it.
@@ -236,7 +238,6 @@ def fit_lspca_grid(data: Dataset, k: int, gammas,
     size, acceptance, iteration count and stopping test, so its trial points
     are those of the same fit run on its own.
     """
-    opts = opts or LspcaOptions()
     p = data.p
     checked = []
     for gamma in gammas:
@@ -261,117 +262,80 @@ def fit_lspca_grid(data: Dataset, k: int, gammas,
         reconstruction = tr_cov - gram.trace(axis1=-2, axis2=-1)
         return beta, supervised + gam * reconstruction, cu
 
-    def closed_form(basis: np.ndarray, gamma: float, objective_gamma: float,
-                    **flags) -> tuple[FittedReducer, LspcaSolution]:
+    results: list = [None] * len(checked)
+
+    def record(i: int, basis: np.ndarray, beta: np.ndarray, trace: list,
+               converged: bool, n_iters: int, **flags) -> None:
+        """Enter grid point i's fit as its (reducer, solution) result."""
+        hyper = {"gamma": checked[i], "converged": converged,
+                 "iterations": n_iters, **flags}
+        results[i] = (FittedReducer("lspca", k, basis, hyper),
+                      LspcaSolution(basis, beta, trace, converged, n_iters))
+
+    def closed_form(i: int, basis: np.ndarray, objective_gamma: float, **flags):
         beta, f, _ = evaluate(basis[None], np.array([objective_gamma]))
-        return _lspca_result(k, gamma, basis, beta[0], [float(f[0])], True, 0,
-                             **flags)
+        record(i, basis, beta[0], [float(f[0])], True, 0, **flags)
 
     # X^T X = c I makes the reconstruction term constant over the manifold;
     # the optimum is any subspace containing w.  The shared canonical
     # completion makes the result match the balanced covariance-eigenproblem
     # method exactly.
     isotropic = _is_isotropic(cov) and np.linalg.norm(w) > 0
-    start = (sym_eig_topk(cov, k).vectors
-             if any(math.isinf(g) or not isotropic for g in checked) else None)
-    results: list = [None] * len(checked)
+    start = sym_eig_topk(cov, k).vectors if checked else None
     slots = []  # grid index of each fit that descends
     for i, gamma in enumerate(checked):
         if math.isinf(gamma):
             # limit case: report the unweighted objective terms
-            results[i] = closed_form(start, gamma, 1.0)
+            closed_form(i, start, 1.0)
         elif isotropic:
-            results[i] = closed_form(_rank1_completed_basis(w, cov, k), gamma,
-                                     gamma, degenerate_shortcut=True)
+            closed_form(i, _rank1_completed_basis(w, cov, k), gamma,
+                        degenerate_shortcut=True)
         elif k == p:
             # every basis spans the whole space: the objective is constant
-            results[i] = closed_form(start, gamma, gamma)
+            closed_form(i, start, gamma)
         else:
             slots.append(i)
 
     if not slots:
         return results
 
-    # Per-fit state of the running fits, position j for grid index slots[j]:
-    # the stacked basis, beta and cov @ U, and scalar step size, objective,
-    # iteration in progress and trace.  A finished fit leaves the stacks.
-    m = len(slots)
+    # The running fits' state, one row per fit: grid index, gamma, step
+    # size, objective, the iteration of the next step, and the basis, beta
+    # and cov @ U stacks.  One keep mask drops the rows of the fits that stop.
+    slot = np.array(slots)
     gam = np.array([checked[i] for i in slots])
-    u = np.repeat(start[None], m, axis=0)
-    beta, f_start, cu = evaluate(u, gam)
-    grad = _lspca_gradient(cu, beta, w, gam)
-    f = f_start.tolist()
-    traces = [[v] for v in f]
-    step = [float(opts.initial_step)] * m
-    n_iters = [1 if opts.max_iters >= 1 else 0] * m
-    # a fit whose step falls below min_step has no descent direction at
-    # machine precision and counts as converged
-    converged = [n > 0 and opts.initial_step < opts.min_step for n in n_iters]
-    stop = set(range(m)) if opts.max_iters < 1 or any(converged) else set()
-    while True:
-        if stop:
-            for j in stop:
-                results[slots[j]] = _lspca_result(k, checked[slots[j]], u[j], beta[j],
-                                                  traces[j], converged[j], n_iters[j])
-            keep = [j for j in range(len(slots)) if j not in stop]
-            slots, f, traces, step, n_iters, converged = (
-                [seq[j] for j in keep]
-                for seq in (slots, f, traces, step, n_iters, converged))
-            u, beta, cu, grad, gam = (arr[keep] for arr in (u, beta, cu, grad, gam))
-            stop = set()
-        if not slots:
-            return results
-        u_trial = stiefel_step(u, grad, step)
-        beta_trial, f_trial, cu_trial = evaluate(u_trial, gam)
-        accepted = []
-        for j, f_new in enumerate(f_trial.tolist()):
-            accepted.append(f_new < f[j])
-            if not accepted[-1]:
-                step[j] /= 2.0
-                if step[j] < opts.min_step:
-                    converged[j] = True
-                    stop.add(j)
-                continue
-            rel = (f[j] - f_new) / max(1.0, abs(f[j]))
-            f[j] = f_new
-            traces[j].append(f_new)
-            step[j] *= 2.0
-            if rel < opts.tol:
-                converged[j] = True
-                stop.add(j)
-            elif n_iters[j] >= opts.max_iters:
-                stop.add(j)
-            else:
-                n_iters[j] += 1
-        # only the accepted fits moved: their stacks and gradients change
-        # (in place when some fits moved: a recorded result holds a view of
-        # a stack the compaction above has already replaced)
-        took = np.flatnonzero(accepted)
-        if took.size == len(slots):
-            u, cu, beta = u_trial, cu_trial, beta_trial
-            grad = _lspca_gradient(cu, beta, w, gam)
-        elif took.size:
-            u[took] = u_trial[took]
-            cu[took] = cu_trial[took]
-            beta[took] = beta_trial[took]
-            grad[took] = _lspca_gradient(cu[took], beta[took], w, gam[took])
-
-
-def _lspca_result(k: int, gamma: float, basis: np.ndarray, beta: np.ndarray,
-                  trace: list, converged: bool, n_iters: int,
-                  **flags) -> tuple[FittedReducer, LspcaSolution]:
-    sol = LspcaSolution(basis=basis, beta=beta, objective_trace=trace,
-                        converged=converged, n_iters=n_iters)
-    return (FittedReducer("lspca", k, basis=basis,
-                          hyperparams={"gamma": gamma, "converged": converged,
-                                       "iterations": n_iters, **flags}), sol)
-
-
-def _lspca_gradient(cu: np.ndarray, beta: np.ndarray, w: np.ndarray,
-                    gam: np.ndarray) -> np.ndarray:
-    """Ambient gradient of the LSPCA objective in U for a stack of fits."""
-    resid = (cu @ beta[..., None])[..., 0] - w
-    return 2.0 * resid[..., :, None] * beta[..., None, :] - 2.0 * gam[:, None, None] * cu
+    u = np.repeat(start[None], len(slots), axis=0)
+    beta, f, cu = evaluate(u, gam)
+    traces = {i: [v] for i, v in zip(slots, f.tolist())}
+    step = np.full(len(slots), LSPCA_INITIAL_STEP)
+    n_iters = np.ones(len(slots), dtype=int)
+    while slot.size:
+        # the ambient gradient of the objective in U
+        resid = (cu @ beta[..., None])[..., 0] - w
+        grad = 2.0 * (resid[..., :, None] * beta[..., None, :] - gam[:, None, None] * cu)
+        u_new = stiefel_step(u, grad, step)
+        beta_new, f_new, cu_new = evaluate(u_new, gam)
+        took = f_new < f
+        rel = (f - f_new) / np.maximum(1.0, np.abs(f))
+        back = np.flatnonzero(~took)  # these fits keep their current row
+        if back.size:
+            for new, old in ((u_new, u), (beta_new, beta), (cu_new, cu)):
+                new[back] = old[back]
+        u, beta, cu, f = u_new, beta_new, cu_new, np.where(took, f_new, f)
+        for i, v in compress(zip(slot.tolist(), f.tolist()), took.tolist()):
+            traces[i].append(v)
+        step *= np.where(took, 2.0, 0.5)
+        n_iters += took  # n_iters - took: the iteration each fit just ran
+        converged = np.where(took, rel < LSPCA_TOL, step < LSPCA_MIN_STEP)
+        stop = converged | (n_iters > LSPCA_MAX_ITERS)
+        if stop.any():
+            for j, i in zip(np.flatnonzero(stop), slot[stop].tolist()):
+                record(i, u[j], beta[j], traces[i], bool(converged[j]),
+                       int(n_iters[j] - took[j]))
+            keep = ~stop
+            slot, gam, step, f, n_iters, u, beta, cu = (
+                a[keep] for a in (slot, gam, step, f, n_iters, u, beta, cu))
+    return results
 
 
 def _solve_stack(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -532,8 +496,7 @@ def fit_sppca_model(data: Dataset, k: int) -> tuple[SppcaState, dict]:
                    "variance_floored": floored, "loglik_trace": ll_trace}
 
 
-def predict_sppca(state: SppcaState, x_new: np.ndarray,
-                  y_mean: float = 0.0) -> np.ndarray:
-    """Model-native prediction: posterior latent mean from x, then v^T z."""
+def predict_sppca(state: SppcaState, x_new: np.ndarray) -> np.ndarray:
+    """Model-native prediction: v^T z for z the posterior mean of centered x."""
     z = np.asarray(x_new, dtype=float) @ state.posterior_map()
-    return z @ state.response_loadings + y_mean
+    return z @ state.response_loadings

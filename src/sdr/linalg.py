@@ -40,10 +40,9 @@ class DegenerateDirectionError(RuntimeError):
         self.iteration = iteration
 
 
-def check_symmetric(s: np.ndarray, tol: float = SYMMETRY_TOL,
-                    stacked: bool = False) -> np.ndarray:
-    """Validate a dense symmetric matrix, or with ``stacked`` a (b, p, p)
-    stack of them; returns it as a float array."""
+def check_symmetric(s: np.ndarray, stacked: bool = False) -> np.ndarray:
+    """Validate a dense symmetric matrix (|S - S^T| <= SYMMETRY_TOL), or with
+    ``stacked`` a (b, p, p) stack of them; returns it as a float array."""
     s = np.asarray(s, dtype=float)
     if s.ndim != (3 if stacked else 2) or s.shape[-1] != s.shape[-2]:
         kind = "stack of square matrices" if stacked else "square matrix"
@@ -53,7 +52,7 @@ def check_symmetric(s: np.ndarray, tol: float = SYMMETRY_TOL,
     # slice by slice: a stack needs no stack-sized temporaries
     asym = (max(np.abs(m - m.T).max() for m in s.reshape(-1, *s.shape[-2:]))
             if s.size else 0.0)
-    if asym > tol:
+    if asym > SYMMETRY_TOL:
         raise ValueError(f"matrix is not symmetric: max |S - S^T| = {asym:.3e}")
     return s
 

@@ -93,13 +93,15 @@ DEFAULT_METHODS = tuple(METHODS)
 
 
 def check_methods(methods) -> None:
-    """Refuse an empty method list or a name not in ``METHODS``."""
+    """Refuse an empty method list, a name not in ``METHODS`` or a repeat."""
     if not methods:
         raise ValueError("method list is empty")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; "
                          f"choose from {', '.join(METHODS)}")
+    if len(set(methods)) < len(methods):
+        raise ValueError(f"method list {list(methods)} names a method twice")
 
 
 def check_gamma_grid(grid) -> None:

@@ -36,6 +36,8 @@ class RealDataConfig:
     def __post_init__(self):
         if self.k_min < 1:
             raise ValueError("K range must start at 1 or above")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.k_max is not None and self.k_max < self.k_min:
             raise ValueError("k_max must be >= the smallest K")
         if len(self.delimiter) != 1:

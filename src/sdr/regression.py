@@ -10,21 +10,19 @@ class RegressionModel:
     """Linear predictor on reduced (or raw) features."""
 
     coefficients: np.ndarray
-    intercept: float = 0.0
 
     def predict(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         if z.ndim != 2 or z.shape[1] != len(self.coefficients):
             raise ValueError(f"expected {len(self.coefficients)} columns, got {z.shape}")
-        return z @ self.coefficients + self.intercept
+        return z @ self.coefficients
 
 
-def ols_fit(z: np.ndarray, y: np.ndarray, intercept: float = 0.0) -> RegressionModel:
-    """Minimum-norm least squares of y on the columns of z.
+def ols_fit(z: np.ndarray, y: np.ndarray) -> RegressionModel:
+    """Minimum-norm least squares of y on the columns of z, without an
+    intercept: features and response are fitted centered.
 
-    Pseudo-inverse semantics keep rank-deficient designs deterministic.  The
-    intercept is supplied by the caller from centering metadata (features and
-    response are fitted centered).
+    Pseudo-inverse semantics keep rank-deficient designs deterministic.
     """
     z = np.asarray(z, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -33,7 +31,7 @@ def ols_fit(z: np.ndarray, y: np.ndarray, intercept: float = 0.0) -> RegressionM
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(y))):
         raise ValueError("non-finite inputs")
     coef, *_ = np.linalg.lstsq(z, y, rcond=None)
-    return RegressionModel(coefficients=coef, intercept=float(intercept))
+    return RegressionModel(coefficients=coef)
 
 
 def mse(predictions: np.ndarray, truth: np.ndarray) -> float:

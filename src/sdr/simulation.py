@@ -180,6 +180,8 @@ class BenchConfig:
     def __post_init__(self):
         if self.n_trials < 1:
             raise ValueError("trial count must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.k < 1:  # K above P fails per trial, with the fit's error
             raise ValueError(f"K must be >= 1, got {self.k}")
         check_methods(self.methods)
@@ -349,6 +351,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.n_trials < 1:
             raise ValueError("trial count must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         spectrum = SpectrumSpec(self.spectrum)
         if not 1 <= self.k <= spectrum.p:
             raise ValueError(f"K must lie in [1, {spectrum.p}], got {self.k}")

@@ -49,6 +49,14 @@ class TestSimulate:
                      "--out", str(tmp_path)])
         assert code == 2
 
+    def test_repeated_method_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["simulate", "--methods", "pca,pca", "--trials", "1",
+                     "--out", str(out)])
+        assert code == 2
+        assert "names a method twice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_trials_config_error(self, tmp_path):
         code = main(["simulate", "--methods", "pca", "--trials", "0",
                      "--out", str(tmp_path)])
@@ -236,6 +244,15 @@ class TestRealData:
         assert code == 2
         assert "no feature column left" in capsys.readouterr().err
 
+    def test_repeated_method_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["real-data", "--data", str(_toy_csv(tmp_path)),
+                     "--response", "target", "--methods", "pls,pca,pls",
+                     "--out", str(out)])
+        assert code == 2
+        assert "names a method twice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_requires_data_and_response(self, tmp_path):
         assert main(["real-data", "--out", str(tmp_path)]) == 2
 
@@ -306,6 +323,24 @@ class TestUsage:
 
     def test_unknown_flag_is_usage_error(self):
         assert main(["simulate", "--frobnicate"]) == 2
+
+    @pytest.mark.parametrize("from_env", [False, True], ids=["flag", "env"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep-gamma", "real-data"])
+    def test_negative_seed_exit_2_before_any_output(self, tmp_path, capsys,
+                                                    monkeypatch, command,
+                                                    from_env):
+        out = tmp_path / "o"
+        args = [command, "--trials", "1", "--out", str(out)]
+        if command == "real-data":
+            args = [command, "--data", str(_toy_csv(tmp_path)),
+                    "--response", "target", "--out", str(out)]
+        if from_env:
+            monkeypatch.setenv("SDR_SEED", "-1")
+        else:
+            args += ["--seed", "-1"]
+        assert main(args) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigFile:

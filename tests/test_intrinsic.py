@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from sdr import intrinsic
 from sdr.data import Dataset, reduce
-from sdr.intrinsic import (LspcaOptions, SppcaState, fit_barshan_extended,
-                           fit_lspca, fit_pls_extended, fit_sppca,
-                           fit_sppca_model, predict_sppca)
+from sdr.intrinsic import (SppcaState, fit_barshan_extended, fit_lspca,
+                           fit_pls_extended, fit_sppca, fit_sppca_model,
+                           predict_sppca)
 from sdr.linalg import DegenerateDirectionError, orthonormalize, sym_eig_topk
 
 
@@ -229,9 +230,10 @@ class TestLSPCA:
         with pytest.raises(ValueError, match="positive"):
             fit_lspca(_random_dataset(18), 2, 0.0)
 
-    def test_max_iters_flagged(self):
+    def test_max_iters_flagged(self, monkeypatch):
+        monkeypatch.setattr(intrinsic, "LSPCA_MAX_ITERS", 2)
         data = _random_dataset(19)
-        reducer, sol = fit_lspca(data, 2, 1e-3, LspcaOptions(max_iters=2))
+        reducer, sol = fit_lspca(data, 2, 1e-3)
         assert not sol.converged
         assert reducer.hyperparams["converged"] is False
 
@@ -283,11 +285,12 @@ class TestSPPCA:
         assert np.linalg.norm(_projector(learned) - _projector(pca)) <= 0.1
 
     def test_predict_zero_input_gives_mean(self):
+        # centered data: the zero input is the mean, predicted as zero
         state = SppcaState(loadings=np.eye(3)[:, :2],
                            response_loadings=np.array([1.0, -1.0]),
                            sigma_x=0.5, sigma_y=0.5)
-        pred = predict_sppca(state, np.zeros((2, 3)), y_mean=4.5)
-        np.testing.assert_allclose(pred, [4.5, 4.5])
+        pred = predict_sppca(state, np.zeros((2, 3)))
+        np.testing.assert_array_equal(pred, [0.0, 0.0])
 
     def test_reduce_matches_posterior_map(self):
         data, _ = self._model_data(23, n=100, p=5, k=2)

@@ -11,10 +11,10 @@ import math
 import numpy as np
 import pytest
 
+from sdr import intrinsic
 from sdr.data import Dataset, center_dataset, fit_centering
-from sdr.intrinsic import (LspcaOptions, _is_isotropic,
-                           _rank1_completed_basis, _solve_stack, fit_lspca,
-                           fit_lspca_grid)
+from sdr.intrinsic import (_is_isotropic, _rank1_completed_basis, _solve_stack,
+                           fit_lspca, fit_lspca_grid)
 from sdr.linalg import stiefel_step, sym_eig_topk
 from sdr.methods import DEFAULT_GAMMA_GRID
 from sdr.simulation import SpectrumSpec, TrialSpec, generate_trial
@@ -22,9 +22,9 @@ from sdr.simulation import SpectrumSpec, TrialSpec, generate_trial
 TUNING_GAMMAS = [g for g in DEFAULT_GAMMA_GRID if g > 0]
 
 
-def _sequential_lspca(data, k, gamma, opts=None):
-    """(basis, n_iters, converged, objective_trace) of one LSPCA fit."""
-    opts = opts or LspcaOptions()
+def _sequential_lspca(data, k, gamma):
+    """(basis, n_iters, converged, objective_trace) of one LSPCA fit, under
+    the ``LSPCA_*`` settings in force."""
     x, y = data.X, data.y
     cov = x.T @ x
     w = x.T @ y
@@ -55,14 +55,14 @@ def _sequential_lspca(data, k, gamma, opts=None):
     beta = beta_for(u)
     f = objective(u, beta, gamma)
     trace = [f]
-    step = opts.initial_step
+    step = intrinsic.LSPCA_INITIAL_STEP
     converged = False
     it = 0
-    for it in range(1, opts.max_iters + 1):
+    for it in range(1, intrinsic.LSPCA_MAX_ITERS + 1):
         cu = cov @ u
         grad = 2.0 * np.outer(cu @ beta - w, beta) - 2.0 * gamma * cu
         accepted = False
-        while step >= opts.min_step:
+        while step >= intrinsic.LSPCA_MIN_STEP:
             u_new = stiefel_step(u, grad, step)
             beta_new = beta_for(u_new)
             f_new = objective(u_new, beta_new, gamma)
@@ -77,17 +77,17 @@ def _sequential_lspca(data, k, gamma, opts=None):
         u, beta, f = u_new, beta_new, f_new
         trace.append(f)
         step *= 2.0
-        if rel < opts.tol:
+        if rel < intrinsic.LSPCA_TOL:
             converged = True
             break
     return u, it, converged, trace
 
 
-def _assert_matches_sequential(data, k, gammas, opts=None):
-    grid = fit_lspca_grid(data, k, gammas, opts)
+def _assert_matches_sequential(data, k, gammas):
+    grid = fit_lspca_grid(data, k, gammas)
     assert len(grid) == len(gammas)
     for gamma, (reducer, sol) in zip(gammas, grid):
-        basis, n_iters, converged, trace = _sequential_lspca(data, k, gamma, opts)
+        basis, n_iters, converged, trace = _sequential_lspca(data, k, gamma)
         where = f"gamma={gamma!r}"
         assert sol.n_iters == n_iters, where
         assert sol.converged == converged, where
@@ -158,14 +158,32 @@ class TestLockStepMatchesSequential:
     def test_one_gamma_grid(self):
         _assert_matches_sequential(_random_dataset(8), 4, [0.5])
 
-    def test_fits_finish_in_different_rounds(self):
+    def test_fits_finish_in_different_rounds(self, monkeypatch):
+        monkeypatch.setattr(intrinsic, "LSPCA_MAX_ITERS", 5)
         data = _random_dataset(9)
-        opts = LspcaOptions(max_iters=5)
         gammas = [1e-3, 1e6, 0.5, 1e8, 1e-2]
-        grid = _assert_matches_sequential(data, 4, gammas, opts)
+        grid = _assert_matches_sequential(data, 4, gammas)
         iters = [sol.n_iters for _, sol in grid]
         assert iters[0] == 5 and not grid[0][1].converged
         assert max(iters[1], iters[3]) <= 2 and grid[1][1].converged
+
+    @pytest.mark.parametrize("max_iters", [None, 5])  # None: the default cap
+    def test_each_fit_records_its_own_row(self, monkeypatch, max_iters):
+        # fits that stop in different rounds leave the running stacks at
+        # different times; each must record the state of its own row
+        if max_iters is not None:
+            monkeypatch.setattr(intrinsic, "LSPCA_MAX_ITERS", max_iters)
+        data = _random_dataset(9)
+        gammas = [1e-3, 1e6, 0.5, 1e8, 1e-2]
+        grid = fit_lspca_grid(data, 4, gammas)
+        assert len({sol.n_iters for _, sol in grid}) > 1
+        for gamma, (reducer, sol) in zip(gammas, grid):
+            alone, alone_sol = fit_lspca(data, 4, gamma)
+            np.testing.assert_array_equal(reducer.basis, alone.basis)
+            np.testing.assert_array_equal(sol.basis, alone_sol.basis)
+            np.testing.assert_array_equal(sol.beta, alone_sol.beta)
+            assert sol.objective_trace == alone_sol.objective_trace
+            assert reducer.hyperparams == alone.hyperparams
 
     def test_fit_lspca_is_the_one_gamma_grid(self):
         data = _random_dataset(10)

@@ -29,11 +29,6 @@ class TestOlsFit:
         rel = np.abs(z.T @ resid).max() / max(np.linalg.norm(y), 1.0)
         assert rel <= 1e-8
 
-    def test_intercept_applied(self):
-        z = np.array([[0.0], [0.0]])
-        model = ols_fit(z, np.array([0.0, 0.0]), intercept=5.0)
-        np.testing.assert_allclose(model.predict(z), [5.0, 5.0])
-
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             ols_fit(np.array([[np.inf]]), np.array([1.0]))
