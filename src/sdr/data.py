@@ -190,7 +190,7 @@ class FittedReducer:
         to match.
 
         For a method whose fit at K is the first K components of its fit at
-        any larger K (see ``Method.nested``), this is the fit at k.  The
+        any larger K (see ``methods._prefixes``), this is the fit at k.  The
         copy keeps the fit's memory layout, so products with it round as a
         fresh fit's do.
         """

@@ -39,11 +39,12 @@ def _supervised_direction(w: np.ndarray, scale: float, iteration: int) -> np.nda
     return fix_signs((w / norm)[:, None])[:, 0]
 
 
-def _is_isotropic(cov: np.ndarray, rtol: float = 1e-9) -> bool:
-    """True when X^T X is a multiple of the identity (whitened data)."""
+def _is_isotropic(cov: np.ndarray) -> bool:
+    """True when X^T X is a multiple c I of the identity (whitened data), to
+    1e-9 of |c I|."""
     p = cov.shape[0]
     c = float(np.trace(cov)) / p
-    return bool(np.linalg.norm(cov - c * np.eye(p)) <= rtol * max(abs(c), 1e-300) * math.sqrt(p))
+    return bool(np.linalg.norm(cov - c * np.eye(p)) <= 1e-9 * max(abs(c), 1e-300) * math.sqrt(p))
 
 
 def _rank1_completed_basis(w: np.ndarray, cov: np.ndarray, k: int) -> np.ndarray:
@@ -232,89 +233,129 @@ def fit_lspca_grid(data: Dataset, k: int, gammas
     """LSPCA at every gamma of a grid: ``[(reducer, solution), ...]`` in grid
     order, each as ``fit_lspca`` describes it.
 
-    The fits that iterate share one training split and one PCA start, so
-    they run in lock-step: each round takes one trial step for every
-    unfinished fit as one stacked evaluation.  Each fit keeps its own step
-    size, acceptance, iteration count and stopping test, so its trial points
-    are those of the same fit run on its own.
+    This is the one-K call of ``fit_lspca_sweep``.
+    """
+    return fit_lspca_sweep(data, [k], gammas)[k]
+
+
+def fit_lspca_sweep(data: Dataset, ks, gammas
+                    ) -> dict[int, list[tuple[FittedReducer, LspcaSolution]]]:
+    """LSPCA at every K of ``ks`` and gamma of a grid: ``{k: [(reducer,
+    solution), ...]}``, each list in grid order and each fit as
+    ``fit_lspca`` describes it.
+
+    Every fit that iterates starts at the first K columns of one PCA
+    eigensolve, and all of them run in lock-step: each round takes one trial
+    step for every unfinished (K, gamma) fit as one stacked evaluation, and
+    each fit keeps its own step size, acceptance, iteration count and
+    stopping test.  A K-column fit sits in a (P + Kmax - Kmin) x Kmax stack
+    over the Ks that iterate: its column j >= K is the unit vector of its
+    own extra coordinate P + j - K, X^T X and X^T y are zero on the extra
+    coordinates, and the solve for beta sees identity on the padding
+    diagonal of U^T C U.  In exact arithmetic the padding is inert through
+    beta, the objective, the gradient and the QR retraction (in floating
+    point the real block's sums also run over the extra zeros); a call with
+    one K has no padding.
     """
     p = data.p
+    too_large = [k for k in ks if k > p]
     checked = []
     for gamma in gammas:
         gamma = _check_gamma(gamma)
-        if k > p:
-            raise ValueError(f"K={k} exceeds P={p}")
+        if too_large:
+            raise ValueError(f"K={too_large[0]} exceeds P={p}")
         if gamma == 0.0:
             raise ValueError("gamma must be positive and finite (or math.inf)")
         checked.append(gamma)
     cov, w, yy, _ = data.moments
     tr_cov = float(np.trace(cov))
+    results = {k: [None] * len(checked) for k in ks}
+    if not (checked and results):
+        return results
 
-    def evaluate(u: np.ndarray, gam: np.ndarray):
-        """beta, objective and cov @ U for a stack of bases (m, p, k)."""
+    def evaluate(u: np.ndarray, gam: np.ndarray, cov: np.ndarray,
+                 w: np.ndarray, pad):
+        """beta, objective and cov @ U for a stack of bases (m, q, k) under
+        the moments (cov, w) of a q-space; ``pad`` is added to U^T C U for
+        the solve only."""
         cu = cov @ u
         ut = u.swapaxes(-1, -2)
         gram = ut @ cu
         utw = ut @ w
-        beta = _solve_stack(gram, utw)
+        beta = _solve_stack(gram + pad, utw)
         supervised = (yy - 2.0 * (beta * utw).sum(axis=-1)
                       + (beta * (gram @ beta[..., None])[..., 0]).sum(axis=-1))
         reconstruction = tr_cov - gram.trace(axis1=-2, axis2=-1)
         return beta, supervised + gam * reconstruction, cu
 
-    results: list = [None] * len(checked)
-
-    def record(i: int, basis: np.ndarray, beta: np.ndarray, trace: list,
-               converged: bool, n_iters: int, **flags) -> None:
-        """Enter grid point i's fit as its (reducer, solution) result."""
+    def record(k: int, i: int, basis: np.ndarray, beta: np.ndarray,
+               trace: list, converged: bool, n_iters: int, **flags) -> None:
+        """Enter the (K, grid point i) fit as its (reducer, solution)."""
         hyper = {"gamma": checked[i], "converged": converged,
                  "iterations": n_iters, **flags}
-        results[i] = (FittedReducer("lspca", k, basis, hyper),
-                      LspcaSolution(basis, beta, trace, converged, n_iters))
+        results[k][i] = (FittedReducer("lspca", k, basis, hyper),
+                         LspcaSolution(basis, beta, trace, converged, n_iters))
 
-    def closed_form(i: int, basis: np.ndarray, objective_gamma: float, **flags):
-        beta, f, _ = evaluate(basis[None], np.array([objective_gamma]))
-        record(i, basis, beta[0], [float(f[0])], True, 0, **flags)
+    def closed_form(k: int, i: int, basis: np.ndarray, objective_gamma: float,
+                    **flags):
+        beta, f, _ = evaluate(basis[None], np.array([objective_gamma]), cov, w, 0.0)
+        record(k, i, basis, beta[0], [float(f[0])], True, 0, **flags)
 
     # X^T X = c I makes the reconstruction term constant over the manifold;
     # the optimum is any subspace containing w.  The shared canonical
     # completion makes the result match the balanced covariance-eigenproblem
     # method exactly.
     isotropic = _is_isotropic(cov) and np.linalg.norm(w) > 0
-    start = sym_eig_topk(cov, k).vectors if checked else None
-    slots = []  # grid index of each fit that descends
-    for i, gamma in enumerate(checked):
-        if math.isinf(gamma):
-            # limit case: report the unweighted objective terms
-            closed_form(i, start, 1.0)
-        elif isotropic:
-            closed_form(i, _rank1_completed_basis(w, cov, k), gamma,
-                        degenerate_shortcut=True)
-        elif k == p:
-            # every basis spans the whole space: the objective is constant
-            closed_form(i, start, gamma)
-        else:
-            slots.append(i)
+    start = sym_eig_topk(cov, max(results)).vectors
+    descend = []  # (K, grid index) of each fit that iterates
+    for k in results:
+        pca = start[:, :k].copy(order="K")
+        completed = None
+        for i, gamma in enumerate(checked):
+            if math.isinf(gamma):
+                # limit case: report the unweighted objective terms
+                closed_form(k, i, pca, 1.0)
+            elif isotropic:
+                if completed is None:
+                    completed = _rank1_completed_basis(w, cov, k)
+                closed_form(k, i, completed, gamma, degenerate_shortcut=True)
+            elif k == p:
+                # every basis spans the whole space: the objective is constant
+                closed_form(k, i, pca, gamma)
+            else:
+                descend.append((k, i))
 
-    if not slots:
+    if not descend:
         return results
 
-    # The running fits' state, one row per fit: grid index, gamma, step
-    # size, objective, the iteration of the next step, and the basis, beta
-    # and cov @ U stacks.  One keep mask drops the rows of the fits that stop.
-    slot = np.array(slots)
-    gam = np.array([checked[i] for i in slots])
-    u = np.repeat(start[None], len(slots), axis=0)
-    beta, f, cu = evaluate(u, gam)
-    traces = {i: [v] for i, v in zip(slots, f.tolist())}
-    step = np.full(len(slots), LSPCA_INITIAL_STEP)
-    n_iters = np.ones(len(slots), dtype=int)
+    # Each fit's start [[V_K, 0], [0, I]] and padding identity in the
+    # extended space of its stack.
+    width = max(k for k, _ in descend)
+    extra = width - min(k for k, _ in descend)
+    cov_e, w_e = np.pad(cov, (0, extra)), np.pad(w, (0, extra))
+    u = np.zeros((len(descend), p + extra, width))
+    pad = np.zeros((len(descend), width, width))
+    for j, (k, _) in enumerate(descend):
+        cols = np.arange(k, width)
+        u[j, :p, :k] = start[:, :k]
+        u[j, p + cols - k, cols] = pad[j, cols, cols] = 1.0
+
+    # The running fits' state, one row per fit: its index in ``descend``,
+    # gamma, step size, objective, the iteration of the next step, and the
+    # basis, beta, cov @ U and padding stacks.  One keep mask drops the rows
+    # of the fits that stop.
+    slot = np.arange(len(descend))
+    gam = np.array([checked[i] for _, i in descend])
+    beta, f, cu = evaluate(u, gam, cov_e, w_e, pad)
+    traces = [[v] for v in f.tolist()]
+    step = np.full(len(descend), LSPCA_INITIAL_STEP)
+    n_iters = np.ones(len(descend), dtype=int)
     while slot.size:
         # the ambient gradient of the objective in U
-        resid = (cu @ beta[..., None])[..., 0] - w
+        resid = (cu @ beta[..., None])[..., 0] - w_e
         grad = 2.0 * (resid[..., :, None] * beta[..., None, :] - gam[:, None, None] * cu)
         u_new = stiefel_step(u, grad, step)
-        beta_new, f_new, cu_new = evaluate(u_new, gam)
+        beta_new, f_new, cu_new = evaluate(u_new, gam, cov_e, w_e, pad)
         took = f_new < f
         rel = (f - f_new) / np.maximum(1.0, np.abs(f))
         back = np.flatnonzero(~took)  # these fits keep their current row
@@ -322,19 +363,20 @@ def fit_lspca_grid(data: Dataset, k: int, gammas
             for new, old in ((u_new, u), (beta_new, beta), (cu_new, cu)):
                 new[back] = old[back]
         u, beta, cu, f = u_new, beta_new, cu_new, np.where(took, f_new, f)
-        for i, v in compress(zip(slot.tolist(), f.tolist()), took.tolist()):
-            traces[i].append(v)
+        for s, v in compress(zip(slot.tolist(), f.tolist()), took.tolist()):
+            traces[s].append(v)
         step *= np.where(took, 2.0, 0.5)
         n_iters += took  # n_iters - took: the iteration each fit just ran
         converged = np.where(took, rel < LSPCA_TOL, step < LSPCA_MIN_STEP)
         stop = converged | (n_iters > LSPCA_MAX_ITERS)
         if stop.any():
-            for j, i in zip(np.flatnonzero(stop), slot[stop].tolist()):
-                record(i, u[j], beta[j], traces[i], bool(converged[j]),
-                       int(n_iters[j] - took[j]))
+            for j, s in zip(np.flatnonzero(stop), slot[stop].tolist()):
+                k, i = descend[s]
+                record(k, i, np.ascontiguousarray(u[j, :p, :k]), beta[j, :k],
+                       traces[s], bool(converged[j]), int(n_iters[j] - took[j]))
             keep = ~stop
-            slot, gam, step, f, n_iters, u, beta, cu = (
-                a[keep] for a in (slot, gam, step, f, n_iters, u, beta, cu))
+            slot, gam, step, f, n_iters, u, beta, cu, pad = (
+                a[keep] for a in (slot, gam, step, f, n_iters, u, beta, cu, pad))
     return results
 
 

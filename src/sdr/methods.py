@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .data import Dataset, FittedReducer, json_safe, reduce
-from .intrinsic import (fit_barshan_extended, fit_lspca_grid, fit_pls_grid,
+from .intrinsic import (fit_barshan_extended, fit_lspca_sweep, fit_pls_grid,
                         fit_sppca)
 from .regression import RegressionModel, mse, ols_fit
 from .wrappers import fit_bair, fit_pcps, fit_pv
@@ -39,17 +39,15 @@ TIE_RTOL = 1e-10
 class Method:
     """One registry entry.
 
-    ``fit(train, k, gammas)`` returns the fitted reducers at every gamma of
+    ``fit(train, ks, gammas)`` returns ``{k: reducers}`` over the Ks of
+    ``ks``, each list holding the fitted reducers at every gamma of
     ``gammas``, in grid order; the raw-feature baseline's reducer is None.
     ``gamma`` is the gamma domain, or None for a method without gamma, which
-    is fitted once, at ``gammas = [None]``.  ``nested`` marks a method whose
-    fit at K is ``FittedReducer.prefix(K)`` of its fit at any larger K, bit
-    for bit, so a K sweep fits it once (see ``fit_sweep``).
+    is fitted once per K, at ``gammas = [None]``.
     """
 
-    fit: Callable[[Dataset, int, list], list]
+    fit: Callable[[Dataset, list, list], dict]
     gamma: str | None = None
-    nested: bool = False
 
     def tuning_grid(self, grid) -> list:
         """The grid points inside the domain.  gamma = 0 is dropped from an
@@ -67,24 +65,37 @@ def pca_reducer(data: Dataset, k: int) -> FittedReducer:
     return FittedReducer("pca", k, basis=sym_eig_topk(data.moments.xx, k).vectors)
 
 
+def _prefixes(fit: Callable[[Dataset, int, list], list]) -> Callable:
+    """The registry fit over Ks of a method whose fit at K is, bit for bit,
+    ``FittedReducer.prefix(K)`` of its fit at any larger K: ``fit(train, k,
+    gammas)`` runs once, at ``max(ks)``, and every K takes the prefixes."""
+    def fit_ks(train: Dataset, ks, gammas) -> dict:
+        whole = fit(train, max(ks), gammas)
+        return {k: [None if r is None else r.prefix(k) for r in whole]
+                for k in ks}
+    return fit_ks
+
+
 # Entries call the fit functions through this module's globals at call time,
 # so a function rebound here (e.g. by a tracer) is the one that runs.
-# Barshan is not nested: at gamma = 0 its completion orthonormalizes the
-# trailing columns together, and the first columns of that are not bitwise
-# the completion at a smaller K.
+# Barshan does not take prefixes: at gamma = 0 its completion orthonormalizes
+# the trailing columns together, and the first columns of that are not
+# bitwise the completion at a smaller K.
 METHODS = {
-    "ols": Method(lambda d, k, gs: [None], nested=True),
-    "pca": Method(lambda d, k, gs: [pca_reducer(d, k)], nested=True),
-    "bair": Method(lambda d, k, gs: [fit_bair(d, k)]),
-    "pv": Method(lambda d, k, gs: [fit_pv(d, k)], nested=True),
-    "pcps": Method(lambda d, k, gs: [fit_pcps(d, k)], nested=True),
-    "pls": Method(lambda d, k, gs: fit_pls_grid(d, k, gs), GAMMA_NONNEGATIVE,
-                  nested=True),
-    "barshan": Method(lambda d, k, gs: [fit_barshan_extended(d, k, g)
-                                        for g in gs], GAMMA_NONNEGATIVE),
-    "lspca": Method(lambda d, k, gs: [r for r, _ in fit_lspca_grid(d, k, gs)],
-                    GAMMA_POSITIVE),
-    "sppca": Method(lambda d, k, gs: [fit_sppca(d, k)]),
+    "ols": Method(_prefixes(lambda d, k, gs: [None])),
+    "pca": Method(_prefixes(lambda d, k, gs: [pca_reducer(d, k)])),
+    "bair": Method(lambda d, ks, gs: {k: [fit_bair(d, k)] for k in ks}),
+    "pv": Method(_prefixes(lambda d, k, gs: [fit_pv(d, k)])),
+    "pcps": Method(_prefixes(lambda d, k, gs: [fit_pcps(d, k)])),
+    "pls": Method(_prefixes(lambda d, k, gs: fit_pls_grid(d, k, gs)),
+                  GAMMA_NONNEGATIVE),
+    "barshan": Method(lambda d, ks, gs: {
+        k: [fit_barshan_extended(d, k, g) for g in gs] for k in ks},
+        GAMMA_NONNEGATIVE),
+    "lspca": Method(lambda d, ks, gs: {
+        k: [r for r, _ in fits] for k, fits in fit_lspca_sweep(d, ks, gs).items()},
+        GAMMA_POSITIVE),
+    "sppca": Method(lambda d, ks, gs: {k: [fit_sppca(d, k)] for k in ks}),
 }
 
 #: Benchmark roster in report row order: the raw-feature baseline, classic
@@ -184,7 +195,8 @@ def fit_method(name: str, train: Dataset, val: Dataset | None, k: int, *,
     if entry is None:
         raise ValueError(f"unknown method {name!r}")
     gammas = _gammas(name, entry, val, gamma_grid)
-    return _choose(name, entry, gammas, entry.fit(train, k, gammas), train, val)
+    return _choose(name, entry, gammas, entry.fit(train, [k], gammas)[k],
+                   train, val)
 
 
 def fit_sweep(name: str, train: Dataset, val: Dataset | None, ks, *,
@@ -192,29 +204,25 @@ def fit_sweep(name: str, train: Dataset, val: Dataset | None, ks, *,
     """``{k: thunk}`` over ``ks``: each thunk returns what ``fit_method(name,
     train, val, k, ...)`` returns, or raises what it raises.
 
-    A nested method is fitted once at ``max(ks)`` (a whole gamma grid for
-    a tuned one) and each K takes the prefixes; gamma is then chosen per K
-    on them.  Every other method, and a nested one whose shared fit raises,
-    is fitted per K by ``fit_method``, so every error text and every
-    partial success across the K range is the per-K one.
+    The method is fitted by one registry call over the whole K range (a
+    whole gamma grid at each K for a tuned one); gamma is then chosen per K
+    on its reducers.  If that call raises, every K is fitted on its own by
+    ``fit_method``, so every error text and every partial success across the
+    K range is the per-K one.
     """
     ks = list(ks)
     per_k = {k: partial(fit_method, name, train, val, k, gamma_grid=gamma_grid)
              for k in ks}
     entry = METHODS.get(name)
-    if entry is None or not entry.nested or not ks:
+    if entry is None or not ks:
         return per_k
     try:
         gammas = _gammas(name, entry, val, gamma_grid)
-        shared = entry.fit(train, max(ks), gammas)
+        fits = entry.fit(train, ks, gammas)
     except Exception:  # the per-K fits reproduce it, K by K
         return per_k
-
-    def fit_k(k):
-        return _choose(name, entry, gammas,
-                       [None if r is None else r.prefix(k) for r in shared],
-                       train, val)
-    return {k: partial(fit_k, k) for k in ks}
+    return {k: partial(_choose, name, entry, gammas, fits[k], train, val)
+            for k in ks}
 
 
 def attempt_fit(fit: Callable[[], MethodFit], train: Dataset,

@@ -35,10 +35,10 @@ def _dataset(rng: np.random.Generator, n: int, p: int) -> Dataset:
     return Dataset(x, y - y.mean())
 
 
-def sphere_grid(step_degrees: float = 1.0) -> np.ndarray:
+def sphere_grid() -> np.ndarray:
     """Unit vectors on a 1-degree polar/azimuthal grid of the 2-sphere."""
-    theta = np.deg2rad(np.arange(0.0, 180.0, step_degrees))
-    phi = np.deg2rad(np.arange(0.0, 360.0, step_degrees))
+    theta = np.deg2rad(np.arange(0.0, 180.0, 1.0))
+    phi = np.deg2rad(np.arange(0.0, 360.0, 1.0))
     tt, pp = np.meshgrid(theta, phi, indexing="ij")
     return np.column_stack([(np.sin(tt) * np.cos(pp)).ravel(),
                             (np.sin(tt) * np.sin(pp)).ravel(),

@@ -111,19 +111,19 @@ def _haar(rng: np.random.Generator, p: int) -> np.ndarray:
     return q * d
 
 
-def _phi_columns(v: np.ndarray, alignment: str, latent_dim: int,
+def _phi_columns(v: np.ndarray, alignment: str,
                  rng: np.random.Generator) -> np.ndarray:
     p = v.shape[0]
     if alignment == "well":
-        return v[:, :latent_dim].copy()
+        return v[:, :LATENT_DIM].copy()
     if alignment == "mis":
-        return v[:, latent_dim:2 * latent_dim].copy()
+        return v[:, LATENT_DIM:2 * LATENT_DIM].copy()
     # partial: every second eigenvector from the misaligned block plus random
     # unit vectors orthogonal to them and to each other (but free to overlap
     # the remaining eigenvectors)
-    eig_idx = list(range(latent_dim, 2 * latent_dim, 2))
+    eig_idx = list(range(LATENT_DIM, 2 * LATENT_DIM, 2))
     cols = [v[:, j].copy() for j in eig_idx]
-    for _ in range(latent_dim - len(eig_idx)):
+    for _ in range(LATENT_DIM - len(eig_idx)):
         g = rng.standard_normal(p)
         for c in cols:
             g -= (c @ g) * c
@@ -143,7 +143,7 @@ def generate_trial(spec: TrialSpec) -> TrialData:
     p = spec.spectrum.p
     lam = spec.spectrum.eigenvalues()
     v = _haar(rng, p)
-    phi = _phi_columns(v, spec.alignment, LATENT_DIM, rng)
+    phi = _phi_columns(v, spec.alignment, rng)
     beta = phi @ np.ones(LATENT_DIM)
     sqrt_lam = np.sqrt(lam)
 
@@ -401,8 +401,8 @@ def gamma_sweep(config: SweepConfig) -> list[SweepCurves]:
         for name in SWEEP_METHODS:
             # test MSE per trial (rows) and gamma (columns)
             vals = [[with_model(name, reducer, train).evaluate(test)
-                     for reducer in METHODS[name].fit(train, config.k,
-                                                      config.grid)]
+                     for reducer in METHODS[name].fit(
+                         train, [config.k], config.grid)[config.k]]
                     for train, _, test in trials]
             per_method[name] = [float(np.mean(col)) for col in zip(*vals)]
         curves.append(SweepCurves(alignment=alignment,

@@ -3,7 +3,9 @@
 ``_sequential_lspca`` is the one-gamma descent loop written out as the
 reference: a closed-form beta, one projected-gradient QR-retraction step on
 U, backtracking until the objective decreases.  Every fit of the grid must
-take the same iterations and stop the same way as this loop.
+take the same iterations and stop the same way as this loop.  The joint fit
+over a K range (``fit_lspca_sweep``) must in turn match the grid fit at each
+K alone, up to the rounding of its padded stack.
 """
 
 import math
@@ -14,7 +16,7 @@ import pytest
 from sdr import intrinsic
 from sdr.data import Dataset, center_dataset, fit_centering
 from sdr.intrinsic import (_is_isotropic, _rank1_completed_basis, _solve_stack,
-                           fit_lspca, fit_lspca_grid)
+                           fit_lspca, fit_lspca_grid, fit_lspca_sweep)
 from sdr.linalg import stiefel_step, sym_eig_topk
 from sdr.methods import DEFAULT_GAMMA_GRID
 from sdr.simulation import SpectrumSpec, TrialSpec, generate_trial
@@ -217,6 +219,104 @@ class TestGridClosedForms:
             fit_lspca_grid(data, 2, [1.0, -1.0])
         with pytest.raises(ValueError, match=r"gamma must be >= 0"):
             fit_lspca_grid(data, 2, [math.nan])
+
+
+def _assert_joint_matches_per_k(data, ks, gammas):
+    """Every (K, gamma) fit of the joint sweep stops at the same iteration in
+    the same way as the grid fit at that K alone, with its final objective
+    within 1e-12 relative and its projector U U^T within 1e-10."""
+    joint = fit_lspca_sweep(data, ks, gammas)
+    assert list(joint) == list(ks)
+    for k in ks:
+        alone = fit_lspca_grid(data, k, gammas)
+        assert len(joint[k]) == len(alone) == len(gammas)
+        for gamma, (reducer, sol), (want_reducer, want) in zip(
+                gammas, joint[k], alone):
+            where = f"K={k}, gamma={gamma!r}"
+            assert sol.n_iters == want.n_iters, where
+            assert sol.converged == want.converged, where
+            assert len(sol.objective_trace) == len(want.objective_trace), where
+            assert sol.objective_trace[-1] == pytest.approx(
+                want.objective_trace[-1], rel=1e-12, abs=0), where
+            np.testing.assert_allclose(sol.basis @ sol.basis.T,
+                                       want.basis @ want.basis.T,
+                                       rtol=0, atol=1e-10, err_msg=where)
+            assert reducer.hyperparams == want_reducer.hyperparams, where
+            assert sol.basis.shape == (data.p, k) and sol.beta.shape == (k,)
+            assert reducer.basis.flags.c_contiguous
+            np.testing.assert_array_equal(reducer.basis, sol.basis)
+    return joint
+
+
+class TestJointSweepMatchesPerK:
+    def test_wine_shaped_fit_split_every_k(self):
+        # K = P = 11 and gamma = inf are closed forms; K = 1..10 descend
+        joint = _assert_joint_matches_per_k(_wine_shaped_fit_split(),
+                                            list(range(1, 12)), TUNING_GAMMAS)
+        assert {sol.n_iters for k in range(1, 11) for _, sol in joint[k]} != {0}
+        assert all(sol.n_iters == 0 for _, sol in joint[11])
+
+    def test_p100_fast_misaligned_trial(self):
+        spec = TrialSpec(SpectrumSpec("fast"), "mis", 150, seed=3, n_test=10)
+        trial = generate_trial(spec)
+        train = center_dataset(trial.train, fit_centering(trial.train))
+        joint = _assert_joint_matches_per_k(train, [1, 5, 15], TUNING_GAMMAS)
+        # the sweep mixes fits that hit the iteration cap with ones that stop
+        assert {sol.converged for _, sol in joint[15]} == {True, False}
+
+    def test_whitened_data_with_k_equal_p(self):
+        data = _whitened_dataset(7)
+        joint = _assert_joint_matches_per_k(data, [1, 3, 10],
+                                            [0.5, 2.0, math.inf, 1e3])
+        assert all(r.hyperparams.get("degenerate_shortcut", False)
+                   == (g != math.inf) for k in (1, 3, 10)
+                   for g, (r, _) in zip([0.5, 2.0, math.inf, 1e3], joint[k]))
+
+    def test_unsorted_ks_with_fits_finishing_in_different_rounds(self, monkeypatch):
+        monkeypatch.setattr(intrinsic, "LSPCA_MAX_ITERS", 5)
+        _assert_joint_matches_per_k(_random_dataset(9), [4, 1, 7],
+                                    [1e-3, 1e6, 0.5, 1e-2])
+
+    def test_step_along_a_rounding_gradient(self):
+        """At gamma = 1e8 the K = 1 fit starts at the top eigenvector, which
+        is near its optimum: the tangent part of its gradient -2 gamma (C U -
+        U U^T C U) cancels down to rounding of gamma |C U|, about 1e-8.  Its
+        one accepted step moves U along that rounding, so the padded stack's
+        other rounding moves the projector by about 4e-8 while the objective
+        agrees to 1e-15."""
+        data = _random_dataset(9)
+        (_, sol), = fit_lspca_sweep(data, [1, 4], [1e8])[1]
+        (_, want), = fit_lspca_grid(data, 1, [1e8])
+        assert sol.n_iters == want.n_iters == 1
+        assert sol.objective_trace[-1] == pytest.approx(
+            want.objective_trace[-1], rel=1e-12, abs=0)
+        np.testing.assert_allclose(sol.basis @ sol.basis.T,
+                                   want.basis @ want.basis.T, rtol=0, atol=1e-6)
+
+    def test_gamma_independent_work_once_per_k(self, monkeypatch):
+        """One PCA eigensolve serves every K's start, and whitened data's
+        rank-1 completion is computed once per K, not once per gamma."""
+        counts = {"sym_eig_topk": 0, "_rank1_completed_basis": 0}
+        for name in counts:
+            fn = getattr(intrinsic, name)
+
+            def counted(*args, fn=fn, name=name):
+                counts[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(intrinsic, name, counted)
+        fit_lspca_sweep(_random_dataset(15, p=6), [1, 2, 3, 6], TUNING_GAMMAS)
+        assert counts == {"sym_eig_topk": 1, "_rank1_completed_basis": 0}
+        counts["sym_eig_topk"] = 0
+        fit_lspca_sweep(_whitened_dataset(16), [1, 2, 3], TUNING_GAMMAS)
+        assert counts["_rank1_completed_basis"] == 3
+
+    def test_empty_grid_and_errors(self):
+        data = _random_dataset(17, p=5)
+        assert fit_lspca_sweep(data, [1, 3], []) == {1: [], 3: []}
+        with pytest.raises(ValueError, match="K=6 exceeds P=5"):
+            fit_lspca_sweep(data, [2, 6, 7], [1.0])
+        with pytest.raises(ValueError, match="positive"):
+            fit_lspca_sweep(data, [1, 2], [1.0, 0.0])
 
 
 def test_singular_gram_slice_falls_back_to_least_squares():

@@ -113,7 +113,7 @@ class TestGammaTuning:
     def test_empty_in_domain_grid_names_method_and_domain(self, monkeypatch):
         train, val = _train_val()
         fitted = []
-        monkeypatch.setattr(methods, "fit_lspca_grid",
+        monkeypatch.setattr(methods, "fit_lspca_sweep",
                             lambda *args: fitted.append(args) or [])
         with pytest.raises(ValueError, match=r"lspca.*\(0, inf\]"):
             fit_method("lspca", train, val, 2, gamma_grid=(0.0,))
