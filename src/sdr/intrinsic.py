@@ -201,6 +201,13 @@ LSPCA_MAX_ITERS = 500
 LSPCA_TOL = 1e-9
 LSPCA_INITIAL_STEP = 1.0
 LSPCA_MIN_STEP = 1e-20
+#: A K sweep steps its fits together in groups of consecutive Ks whose
+#: padded basis stack holds at most LSPCA_STACK_DOUBLES numbers (512 KiB).
+#: At small P, where a round costs numpy's per-call overhead, a whole sweep
+#: is one group (P = 11: 150 fits in a 20 x 10 stack); at large P, where the
+#: padding's arithmetic would cost more than the rounds it saves, and its
+#: memory would grow as P^3, the groups shrink and the larger Ks run alone.
+LSPCA_STACK_DOUBLES = 1 << 16
 
 
 @dataclass
@@ -245,19 +252,21 @@ def fit_lspca_sweep(data: Dataset, ks, gammas
     ``fit_lspca`` describes it.
 
     Every fit that iterates starts at the first K columns of one PCA
-    eigensolve, and all of them run in lock-step: each round takes one trial
-    step for every unfinished (K, gamma) fit as one stacked evaluation, and
-    each fit keeps its own step size, acceptance, iteration count and
-    stopping test.  A K-column fit sits in a (P + Kmax - Kmin) x Kmax stack
-    over the Ks that iterate: its column j >= K is the unit vector of its
-    own extra coordinate P + j - K, X^T X and X^T y are zero on the extra
-    coordinates, and the solve for beta sees identity on the padding
-    diagonal of U^T C U.  In exact arithmetic the padding is inert through
-    beta, the objective, the gradient and the QR retraction (in floating
-    point the real block's sums also run over the extra zeros); a call with
-    one K has no padding.
+    eigensolve, and the fits run in lock-step: each round takes one trial
+    step for every unfinished (K, gamma) fit of a group as one stacked
+    evaluation, and each fit keeps its own step size, acceptance, iteration
+    count and stopping test.  A group is a run of consecutive Ks whose
+    stack stays within ``LSPCA_STACK_DOUBLES`` (one K's grid is never
+    split).  A K-column fit sits in its group's (P + Kmax - Kmin) x Kmax
+    stack: its column j >= K is the unit vector of its own extra coordinate
+    P + j - K, X^T X and X^T y are zero on the extra coordinates, and the
+    solve for beta sees identity on the padding diagonal of U^T C U.  In
+    exact arithmetic the padding is inert through beta, the objective, the
+    gradient and the QR retraction (in floating point the real block's sums
+    also run over the extra zeros); a group of one K has no padding.
     """
     p = data.p
+    ks = list(ks)
     too_large = [k for k in ks if k > p]
     checked = []
     for gamma in gammas:
@@ -273,16 +282,19 @@ def fit_lspca_sweep(data: Dataset, ks, gammas
     if not (checked and results):
         return results
 
-    def evaluate(u: np.ndarray, gam: np.ndarray, cov: np.ndarray,
-                 w: np.ndarray, pad):
-        """beta, objective and cov @ U for a stack of bases (m, q, k) under
-        the moments (cov, w) of a q-space; ``pad`` is added to U^T C U for
-        the solve only."""
+    def evaluate(u: np.ndarray, gam: np.ndarray, k_row: np.ndarray,
+                 cov: np.ndarray, w: np.ndarray):
+        """beta, objective and cov @ U for a stack of bases (m, q, width)
+        under the moments (cov, w) of a q-space, row i a K = k_row[i] fit
+        whose columns from K on are padding."""
         cu = cov @ u
         ut = u.swapaxes(-1, -2)
         gram = ut @ cu
         utw = ut @ w
-        beta = _solve_stack(gram + pad, utw)
+        width = u.shape[-1]
+        padded = np.arange(width) >= k_row[:, None]  # each row's padding columns
+        beta = _solve_stack(gram + np.eye(width) * padded[:, None, :]
+                            if padded.any() else gram, utw)
         supervised = (yy - 2.0 * (beta * utw).sum(axis=-1)
                       + (beta * (gram @ beta[..., None])[..., 0]).sum(axis=-1))
         reconstruction = tr_cov - gram.trace(axis1=-2, axis2=-1)
@@ -298,7 +310,8 @@ def fit_lspca_sweep(data: Dataset, ks, gammas
 
     def closed_form(k: int, i: int, basis: np.ndarray, objective_gamma: float,
                     **flags):
-        beta, f, _ = evaluate(basis[None], np.array([objective_gamma]), cov, w, 0.0)
+        beta, f, _ = evaluate(basis[None], np.array([objective_gamma]),
+                              np.array([k]), cov, w)
         record(k, i, basis, beta[0], [float(f[0])], True, 0, **flags)
 
     # X^T X = c I makes the reconstruction term constant over the manifold;
@@ -307,7 +320,7 @@ def fit_lspca_sweep(data: Dataset, ks, gammas
     # method exactly.
     isotropic = _is_isotropic(cov) and np.linalg.norm(w) > 0
     start = sym_eig_topk(cov, max(results)).vectors
-    descend = []  # (K, grid index) of each fit that iterates
+    descend: dict[int, list] = {}  # K -> the grid indices that iterate
     for k in results:
         pca = start[:, :k].copy(order="K")
         completed = None
@@ -323,60 +336,73 @@ def fit_lspca_sweep(data: Dataset, ks, gammas
                 # every basis spans the whole space: the objective is constant
                 closed_form(k, i, pca, gamma)
             else:
-                descend.append((k, i))
+                descend.setdefault(k, []).append(i)
 
-    if not descend:
-        return results
+    def descend_together(fits: list) -> None:
+        """Run the (K, grid index) fits of ``fits`` in one lock-step loop."""
+        k_row = np.array([k for k, _ in fits])
+        width = int(k_row.max())
+        extra = width - int(k_row.min())
+        cov_e, w_e = np.pad(cov, (0, extra)), np.pad(w, (0, extra))
+        # each fit's start [[V_K, 0], [0, I]] in the extended space
+        u = np.zeros((len(fits), p + extra, width))
+        for j, k in enumerate(k_row.tolist()):
+            cols = np.arange(k, width)
+            u[j, :p, :k] = start[:, :k]
+            u[j, p + cols - k, cols] = 1.0
 
-    # Each fit's start [[V_K, 0], [0, I]] and padding identity in the
-    # extended space of its stack.
-    width = max(k for k, _ in descend)
-    extra = width - min(k for k, _ in descend)
-    cov_e, w_e = np.pad(cov, (0, extra)), np.pad(w, (0, extra))
-    u = np.zeros((len(descend), p + extra, width))
-    pad = np.zeros((len(descend), width, width))
-    for j, (k, _) in enumerate(descend):
-        cols = np.arange(k, width)
-        u[j, :p, :k] = start[:, :k]
-        u[j, p + cols - k, cols] = pad[j, cols, cols] = 1.0
+        # The running fits' state, one row per fit: its index in ``fits``,
+        # gamma, K, step size, objective, the iteration of the next step,
+        # and the basis, beta and cov @ U stacks.  One keep mask drops the
+        # rows of the fits that stop.
+        slot = np.arange(len(fits))
+        gam = np.array([checked[i] for _, i in fits])
+        beta, f, cu = evaluate(u, gam, k_row, cov_e, w_e)
+        traces = [[v] for v in f.tolist()]
+        step = np.full(len(fits), LSPCA_INITIAL_STEP)
+        n_iters = np.ones(len(fits), dtype=int)
+        while slot.size:
+            # the ambient gradient of the objective in U
+            resid = (cu @ beta[..., None])[..., 0] - w_e
+            grad = 2.0 * (resid[..., :, None] * beta[..., None, :]
+                          - gam[:, None, None] * cu)
+            u_new = stiefel_step(u, grad, step)
+            beta_new, f_new, cu_new = evaluate(u_new, gam, k_row, cov_e, w_e)
+            took = f_new < f
+            rel = (f - f_new) / np.maximum(1.0, np.abs(f))
+            back = np.flatnonzero(~took)  # these fits keep their current row
+            if back.size:
+                for new, old in ((u_new, u), (beta_new, beta), (cu_new, cu)):
+                    new[back] = old[back]
+            u, beta, cu, f = u_new, beta_new, cu_new, np.where(took, f_new, f)
+            for s, v in compress(zip(slot.tolist(), f.tolist()), took.tolist()):
+                traces[s].append(v)
+            step *= np.where(took, 2.0, 0.5)
+            n_iters += took  # n_iters - took: the iteration each fit just ran
+            converged = np.where(took, rel < LSPCA_TOL, step < LSPCA_MIN_STEP)
+            stop = converged | (n_iters > LSPCA_MAX_ITERS)
+            if stop.any():
+                for j, s in zip(np.flatnonzero(stop), slot[stop].tolist()):
+                    k, i = fits[s]
+                    # copies: a view would keep the whole stack alive
+                    record(k, i, u[j, :p, :k].copy(), beta[j, :k].copy(),
+                           traces[s], bool(converged[j]),
+                           int(n_iters[j] - took[j]))
+                keep = ~stop
+                slot, gam, k_row, step, f, n_iters, u, beta, cu = (
+                    a[keep] for a in (slot, gam, k_row, step, f, n_iters, u,
+                                      beta, cu))
 
-    # The running fits' state, one row per fit: its index in ``descend``,
-    # gamma, step size, objective, the iteration of the next step, and the
-    # basis, beta, cov @ U and padding stacks.  One keep mask drops the rows
-    # of the fits that stop.
-    slot = np.arange(len(descend))
-    gam = np.array([checked[i] for _, i in descend])
-    beta, f, cu = evaluate(u, gam, cov_e, w_e, pad)
-    traces = [[v] for v in f.tolist()]
-    step = np.full(len(descend), LSPCA_INITIAL_STEP)
-    n_iters = np.ones(len(descend), dtype=int)
-    while slot.size:
-        # the ambient gradient of the objective in U
-        resid = (cu @ beta[..., None])[..., 0] - w_e
-        grad = 2.0 * (resid[..., :, None] * beta[..., None, :] - gam[:, None, None] * cu)
-        u_new = stiefel_step(u, grad, step)
-        beta_new, f_new, cu_new = evaluate(u_new, gam, cov_e, w_e, pad)
-        took = f_new < f
-        rel = (f - f_new) / np.maximum(1.0, np.abs(f))
-        back = np.flatnonzero(~took)  # these fits keep their current row
-        if back.size:
-            for new, old in ((u_new, u), (beta_new, beta), (cu_new, cu)):
-                new[back] = old[back]
-        u, beta, cu, f = u_new, beta_new, cu_new, np.where(took, f_new, f)
-        for s, v in compress(zip(slot.tolist(), f.tolist()), took.tolist()):
-            traces[s].append(v)
-        step *= np.where(took, 2.0, 0.5)
-        n_iters += took  # n_iters - took: the iteration each fit just ran
-        converged = np.where(took, rel < LSPCA_TOL, step < LSPCA_MIN_STEP)
-        stop = converged | (n_iters > LSPCA_MAX_ITERS)
-        if stop.any():
-            for j, s in zip(np.flatnonzero(stop), slot[stop].tolist()):
-                k, i = descend[s]
-                record(k, i, np.ascontiguousarray(u[j, :p, :k]), beta[j, :k],
-                       traces[s], bool(converged[j]), int(n_iters[j] - took[j]))
-            keep = ~stop
-            slot, gam, step, f, n_iters, u, beta, cu, pad = (
-                a[keep] for a in (slot, gam, step, f, n_iters, u, beta, cu, pad))
+    # Consecutive Ks join one group while its stack stays within the limit.
+    group: list = []
+    for k in sorted(descend):
+        joined = group + [(k, i) for i in descend[k]]
+        if group and len(joined) * (p + k - group[0][0]) * k > LSPCA_STACK_DOUBLES:
+            descend_together(group)
+            joined = joined[len(group):]
+        group = joined
+    if group:
+        descend_together(group)
     return results
 
 

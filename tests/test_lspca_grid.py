@@ -277,6 +277,36 @@ class TestJointSweepMatchesPerK:
         _assert_joint_matches_per_k(_random_dataset(9), [4, 1, 7],
                                     [1e-3, 1e6, 0.5, 1e-2])
 
+    def test_consecutive_ks_share_a_stack_within_its_limit(self, monkeypatch):
+        """Ks join a group while its padded stack holds at most
+        LSPCA_STACK_DOUBLES numbers; a K that fits with no neighbour runs
+        alone, unpadded, and equals its grid fit bit for bit."""
+        monkeypatch.setattr(intrinsic, "LSPCA_STACK_DOUBLES", 2000)
+        shapes = set()
+
+        def recorded(u, grad, step):
+            shapes.add(u.shape[1:])
+            return stiefel_step(u, grad, step)
+        monkeypatch.setattr(intrinsic, "stiefel_step", recorded)
+        data = _wine_shaped_fit_split()
+        joint = fit_lspca_sweep(data, range(1, 12), TUNING_GAMMAS)
+        # 15 fits per K at P = 11: K = 1..3 fill 45 x 13 x 3 = 1,755
+        # numbers, K = 4, 5 fill 30 x 12 x 5 = 1,800, and from K = 6 on two
+        # Ks (30 x 12 x 7 = 2,520 and up) exceed the limit
+        assert shapes == {(13, 3), (12, 5), (11, 6), (11, 7), (11, 8),
+                          (11, 9), (11, 10)}
+        monkeypatch.setattr(intrinsic, "stiefel_step", stiefel_step)
+        _assert_joint_matches_per_k(data, list(range(1, 12)), TUNING_GAMMAS)
+        for k in range(6, 12):
+            for (_, sol), (_, want) in zip(joint[k],
+                                           fit_lspca_grid(data, k, TUNING_GAMMAS)):
+                np.testing.assert_array_equal(sol.basis, want.basis)
+                assert sol.objective_trace == want.objective_trace
+
+    def test_ks_may_be_any_iterable(self):
+        data = _random_dataset(18, p=5)
+        assert list(fit_lspca_sweep(data, iter([3, 1]), [1.0])) == [3, 1]
+
     def test_step_along_a_rounding_gradient(self):
         """At gamma = 1e8 the K = 1 fit starts at the top eigenvector, which
         is near its optimum: the tangent part of its gradient -2 gamma (C U -

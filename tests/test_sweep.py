@@ -122,12 +122,14 @@ class TestSweepOracle:
                     for pt in (a, b)]
             assert rest[0] == rest[1], (a.k, rest)
             assert list(a.hyperparams) == list(b.hyperparams)
+            for x, y in ((a.test_mse, b.test_mse),
+                         (a.hyperparams["val_mse"], b.hyperparams["val_mse"])):
+                assert x == pytest.approx(y, rel=1e-12), (a.k, x, y)
             # the 8-row split of tiny_wine_csv fits its responses (grades
             # near 6) to round-off: train MSEs of 1e-9 down to 1e-30 carry
             # the last bits of O(1) residuals, so 1e-15 absolute also passes
-            for x, y in ((a.train_mse, b.train_mse), (a.test_mse, b.test_mse),
-                         (a.hyperparams["val_mse"], b.hyperparams["val_mse"])):
-                assert x == pytest.approx(y, rel=1e-12, abs=1e-15), (a.k, x, y)
+            assert a.train_mse == pytest.approx(b.train_mse, rel=1e-12, abs=1e-15), (
+                a.k, a.train_mse, b.train_mse)
         return got
 
     def test_wine_all_methods(self, wine_csv):
