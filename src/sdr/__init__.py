@@ -20,7 +20,7 @@ from .methods import (DEFAULT_GAMMA_GRID, DEFAULT_METHODS, METHODS, Method,
 from .regression import RegressionModel, mse, ols_fit
 from .simulation import (BenchConfig, BenchReport, SpectrumSpec, SweepConfig,
                          TrialSpec, gamma_sweep, generate_trial,
-                         random_orthogonal, run_benchmark)
+                         run_benchmark)
 from .wrappers import fit_bair, fit_pcps, fit_pv, score_variables
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -89,43 +89,29 @@ class CenteringTransform:
     """Column centering fitted on training data, optionally after [0,1] scaling.
 
     When unit scaling is active, min/max are captured on the raw data and the
-    applied order is scale-then-center.  Constant columns are flagged and
-    skipped by the scaling step (centering still zeroes them).
+    applied order is scale-then-center.  Constant columns are skipped by the
+    scaling step (centering still zeroes them).
     """
 
     column_means: np.ndarray
     y_mean: float
     col_min: np.ndarray | None = None
     col_range: np.ndarray | None = None
-    constant_mask: np.ndarray | None = None
 
     @property
     def p(self) -> int:
         return len(self.column_means)
 
-    def _check_width(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+    def apply(self, x_new: np.ndarray) -> np.ndarray:
+        x = np.asarray(x_new, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.p:
             raise ValueError(f"expected {self.p} columns, got shape {x.shape}")
-        return x
-
-    def apply(self, x_new: np.ndarray) -> np.ndarray:
-        x = self._check_width(x_new)
         if self.col_min is not None:
             x = (x - self.col_min) / self.col_range
         return x - self.column_means
 
-    def invert(self, x_centered: np.ndarray) -> np.ndarray:
-        x = self._check_width(x_centered) + self.column_means
-        if self.col_min is not None:
-            x = x * self.col_range + self.col_min
-        return x
-
     def apply_y(self, y_new: np.ndarray) -> np.ndarray:
         return np.asarray(y_new, dtype=float) - self.y_mean
-
-    def invert_y(self, y_centered: np.ndarray) -> np.ndarray:
-        return np.asarray(y_centered, dtype=float) + self.y_mean
 
 
 def fit_centering(data: Dataset, unit_scale: bool = False) -> CenteringTransform:
@@ -135,15 +121,13 @@ def fit_centering(data: Dataset, unit_scale: bool = False) -> CenteringTransform
         lo = x.min(axis=0)
         hi = x.max(axis=0)
         rng = hi - lo
-        constant = rng <= 0
-        rng = np.where(constant, 1.0, rng)  # scaling skipped for flat columns
+        rng = np.where(rng <= 0, 1.0, rng)  # scaling skipped for flat columns
         scaled = (x - lo) / rng
         return CenteringTransform(
             column_means=scaled.mean(axis=0),
             y_mean=float(data.y.mean()),
             col_min=lo,
             col_range=rng,
-            constant_mask=constant,
         )
     return CenteringTransform(column_means=x.mean(axis=0), y_mean=float(data.y.mean()))
 
@@ -288,8 +272,9 @@ def load_csv(path, response: str, delimiter: str = ",",
     """Read a delimited file with a header row into a Dataset.
 
     The named response column becomes y; all remaining (non-dropped) columns
-    must be numeric and become the variables.  A non-numeric or non-finite
-    cell raises IngestError naming its 1-based data row and its column.
+    must be numeric and become the variables.  A header naming a column
+    twice, or a non-numeric or non-finite cell, raises IngestError naming
+    the column (and the cell's 1-based data row).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -298,6 +283,10 @@ def load_csv(path, response: str, delimiter: str = ",",
         except StopIteration:
             raise IngestError("empty file: header row required") from None
         header = [h.strip().strip('"') for h in header]
+        repeated = [h for i, h in enumerate(header) if h in header[:i]]
+        if repeated:
+            raise IngestError(f"column {repeated[0]!r} is named twice in the "
+                              "header", column=repeated[0])
         if response not in header:
             raise IngestError(f"response column {response!r} not found; "
                               f"available: {header}", column=response)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, fit_centering, reduce
+from .data import Dataset, reduce
 from .intrinsic import (fit_barshan_extended, fit_lspca, fit_pls_extended,
                         fit_sppca_model, predict_sppca)
 from .linalg import orthonormalize, stiefel_step, sym_eig_topk
@@ -166,17 +166,6 @@ def _oracle_ols_residual(inject: bool) -> OracleResult:
                         f"max |Z^T r| (relative) = {worst:.2e}")
 
 
-def _oracle_centering_roundtrip(inject: bool) -> OracleResult:
-    rng = np.random.default_rng(18)
-    data = _dataset(rng, 20, 4)
-    raw = rng.uniform(0.0, 3.0, size=(20, 4))
-    transform = fit_centering(Dataset(raw, data.y), unit_scale=True)
-    back = transform.invert(transform.apply(raw))
-    err = float(np.max(np.abs(back - raw)))
-    return OracleResult("centering_roundtrip", err <= 1e-12,
-                        f"max |invert(apply(x)) - x| = {err:.2e}")
-
-
 def _oracle_gaussian_covariance(inject: bool) -> OracleResult:
     rng = np.random.default_rng(19)
     p, n = 5, 100_000
@@ -202,7 +191,6 @@ ORACLES = (
     _oracle_lspca_noiseless,
     _oracle_sppca_model_recovery,
     _oracle_ols_residual,
-    _oracle_centering_roundtrip,
     _oracle_gaussian_covariance,
 )
 

@@ -96,15 +96,15 @@ def run_real_data(config: RealDataConfig) -> RealDataResult:
     ks = range(config.k_min, k_max + 1)
     result = RealDataResult(feature_names=names, n_train=n_train,
                             n_test=n_test, spectrum=spectrum)
-    # each method is set up once for the whole K range; points stay in
-    # (K, method) order
-    sweeps = {method: fit_sweep(method, train, val, ks,
-                                gamma_grid=config.gamma_grid)
-              for method in config.methods}
-    for k in ks:
-        for method in config.methods:
-            result.points.append(CurvePoint(method, k, *attempt_fit(
-                sweeps[method][k], train, test)))
+    # each method is fitted once for the whole K range and scored before the
+    # next is fitted, so one method's reducers are alive at a time
+    scores = {}
+    for method in config.methods:
+        sweep = fit_sweep(method, train, val, ks, gamma_grid=config.gamma_grid)
+        scores[method] = {k: attempt_fit(sweep[k], train, test) for k in ks}
+        del sweep
+    result.points = [CurvePoint(method, k, *scores[method][k])
+                     for k in ks for method in config.methods]
     return result
 
 

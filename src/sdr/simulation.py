@@ -33,6 +33,9 @@ LATENT_DIM = 10
 #: Share of a trial's training budget carved off as its validation split.
 VAL_FRACTION = 0.2
 
+#: Rows in every trial's test split.
+N_TEST = 10000
+
 
 @dataclass(frozen=True)
 class SpectrumSpec:
@@ -64,8 +67,6 @@ class TrialSpec:
     alignment: str
     n_train: int
     seed: int
-    n_test: int = 10000
-    noise_sigma: float | None = None  # None: spectrum default
 
     def __post_init__(self):
         if self.alignment not in ALIGNMENT_KINDS:
@@ -82,10 +83,6 @@ class TrialSpec:
         n_val = int(round(VAL_FRACTION * self.n_train))
         return self.n_train - n_val, n_val
 
-    @property
-    def sigma(self) -> float:
-        return self.spectrum.noise_sigma if self.noise_sigma is None else self.noise_sigma
-
 
 @dataclass(frozen=True)
 class TrialData:
@@ -94,13 +91,6 @@ class TrialData:
     test: Dataset
     phi: np.ndarray      # P x LATENT_DIM, orthonormal columns
     beta: np.ndarray     # P ground-truth coefficient vector
-
-
-def random_orthogonal(p: int, seed) -> np.ndarray:
-    """Haar-distributed orthogonal matrix, reproducible from the seed."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    return _haar(np.random.default_rng(seed), p)
 
 
 def _haar(rng: np.random.Generator, p: int) -> np.ndarray:
@@ -137,7 +127,8 @@ def generate_trial(spec: TrialSpec) -> TrialData:
     Gaussian rows, and y = X Phi alpha + noise with alpha all ones.
 
     The validation split is the last VAL_FRACTION of the training budget;
-    the returned train set is the remaining fit portion.
+    the returned train set is the remaining fit portion.  The test split
+    has N_TEST rows.
     """
     rng = np.random.default_rng(spec.seed)
     p = spec.spectrum.p
@@ -149,11 +140,11 @@ def generate_trial(spec: TrialSpec) -> TrialData:
 
     def draw(n: int) -> Dataset:
         x = (rng.standard_normal((n, p)) * sqrt_lam) @ v.T
-        y = x @ beta + rng.standard_normal(n) * spec.sigma
+        y = x @ beta + rng.standard_normal(n) * spec.spectrum.noise_sigma
         return Dataset(x, y)
 
     full = draw(spec.n_train)
-    test = draw(spec.n_test)
+    test = draw(N_TEST)
     n_fit, _ = spec.split
     train = Dataset(full.X[:n_fit], full.y[:n_fit])
     val = Dataset(full.X[n_fit:], full.y[n_fit:])
@@ -172,8 +163,6 @@ class BenchConfig:
     train_sizes: tuple = (150, 1500)
     n_trials: int = 20
     k: int = 15
-    n_test: int = 10000
-    noise_sigma: float | None = None
     gamma_grid: tuple = DEFAULT_GAMMA_GRID
     seed: int = 0
 
@@ -220,15 +209,18 @@ class SettingReport:
     methods: list[MethodSummary] = field(default_factory=list)
 
 
+#: The notes every report.json carries.
+REPORT_NOTES = (
+    "validation split carved from the last 20% of the training budget; "
+    "all methods fit on the remaining portion",
+    "MSE reported in original response units (centering shift cancels)",
+)
+
+
 @dataclass
 class BenchReport:
     config: dict
     settings: list[SettingReport] = field(default_factory=list)
-    notes: tuple = (
-        "validation split carved from the last 20% of the training budget; "
-        "all methods fit on the remaining portion",
-        "MSE reported in original response units (centering shift cancels)",
-    )
 
 
 def trial_seed(master_seed: int, *indices: int) -> int:
@@ -249,7 +241,7 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
         "methods": list(config.methods), "spectra": list(config.spectra),
         "alignments": list(config.alignments),
         "train_sizes": list(config.train_sizes), "n_trials": config.n_trials,
-        "k": config.k, "n_test": config.n_test, "seed": config.seed,
+        "k": config.k, "n_test": N_TEST, "seed": config.seed,
         "score": "pearson",
         "gamma_grid": [repr(g) for g in config.gamma_grid],
     })
@@ -262,10 +254,8 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
                               for m in config.methods}
                 for t in range(config.n_trials):
                     seed = trial_seed(config.seed, si, ai, ni, t)
-                    spec = TrialSpec(spectrum=spectrum, alignment=alignment,
-                                     n_train=n_train, n_test=config.n_test,
-                                     noise_sigma=config.noise_sigma, seed=seed)
-                    trial = generate_trial(spec)
+                    trial = generate_trial(
+                        TrialSpec(spectrum, alignment, n_train, seed))
                     train, val, test = _centered_views(trial)
                     for m in config.methods:
                         per_method[m].trials.append(TrialRecord(t, seed, *attempt_fit(
@@ -300,7 +290,7 @@ def report_to_csv(report: BenchReport) -> str:
 
 
 def report_to_json(report: BenchReport) -> str:
-    return json.dumps({"config": report.config, "notes": list(report.notes),
+    return json.dumps({"config": report.config, "notes": list(REPORT_NOTES),
                        "settings": [asdict(s) for s in report.settings]},
                       indent=1)
 
@@ -344,7 +334,6 @@ class SweepConfig:
     n_train: int = 150
     n_trials: int = 10
     k: int = 15
-    n_test: int = 10000
     grid: tuple = DEFAULT_SWEEP_GRID
     seed: int = 0
 
@@ -388,9 +377,7 @@ def gamma_sweep(config: SweepConfig) -> list[SweepCurves]:
         trials = []
         for t in range(config.n_trials):
             seed = trial_seed(config.seed, ai, t)
-            spec = TrialSpec(spectrum=spectrum, alignment=alignment,
-                             n_train=config.n_train, n_test=config.n_test,
-                             seed=seed)
+            spec = TrialSpec(spectrum, alignment, config.n_train, seed)
             trials.append(_centered_views(generate_trial(spec)))
         refs = {}
         for name in ("pca", "ols"):

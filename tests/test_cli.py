@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from sdr import cli
 from sdr.cli import main
 
 
@@ -213,6 +215,15 @@ class TestRealData:
         assert code == 2
         assert "quality" in capsys.readouterr().err
 
+    def test_column_named_twice_exit_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "twice.csv"
+        csv_path.write_text("a,y,b,y\n1,2,3,4\n5,6,7,8\n", encoding="utf-8")
+        code = main(["real-data", "--data", str(csv_path), "--response", "y",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "column 'y' is named twice" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_non_numeric_cell_exit_2_with_coordinates(self, tmp_path, capsys):
         csv_path = _toy_csv(tmp_path, bad_cell=True)
         code = main(["real-data", "--data", str(csv_path),
@@ -402,6 +413,23 @@ class TestConfigFile:
 
 
 class TestLibraryOwnsDefaultsAndChecks:
+    @pytest.mark.parametrize("argv", [
+        ["simulate"], ["sweep-gamma"],
+        ["real-data", "--data", "x.csv", "--response", "y"]])
+    def test_every_config_field_is_a_setting(self, monkeypatch, argv):
+        # a config field no command passes is a setting nothing can set
+        seen = []
+
+        def record(make, **settings):
+            seen.append((make, settings))
+            raise cli.ConfigError("stop before the run")
+
+        monkeypatch.setattr(cli, "_config", record)
+        assert main(argv) == 2
+        (make, settings), = seen
+        fields = sorted(f.name for f in dataclasses.fields(make))
+        assert sorted(settings) == fields
+
     def test_ntrain_outside_old_choices_accepted(self, tmp_path):
         assert main(["simulate", "--methods", "ols", "--trials", "1",
                      "--spectrum", "fast", "--alignment", "well",

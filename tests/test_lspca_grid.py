@@ -140,7 +140,7 @@ def _random_dataset(seed, n=60, p=12, noise=0.5):
 
 class TestLockStepMatchesSequential:
     def test_p100_fast_misaligned_trial(self):
-        spec = TrialSpec(SpectrumSpec("fast"), "mis", 150, seed=3, n_test=10)
+        spec = TrialSpec(SpectrumSpec("fast"), "mis", 150, seed=3)
         trial = generate_trial(spec)
         train = center_dataset(trial.train, fit_centering(trial.train))
         grid = _assert_matches_sequential(train, 15, TUNING_GAMMAS[:-1])
@@ -257,7 +257,7 @@ class TestJointSweepMatchesPerK:
         assert all(sol.n_iters == 0 for _, sol in joint[11])
 
     def test_p100_fast_misaligned_trial(self):
-        spec = TrialSpec(SpectrumSpec("fast"), "mis", 150, seed=3, n_test=10)
+        spec = TrialSpec(SpectrumSpec("fast"), "mis", 150, seed=3)
         trial = generate_trial(spec)
         train = center_dataset(trial.train, fit_centering(trial.train))
         joint = _assert_joint_matches_per_k(train, [1, 5, 15], TUNING_GAMMAS)

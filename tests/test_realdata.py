@@ -1,8 +1,12 @@
+import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from sdr import methods
 from sdr.realdata import (RealDataConfig, curves_to_csv, result_to_json,
                           run_real_data, spectrum_to_csv)
 
@@ -70,6 +74,37 @@ def test_deterministic(linear_csv):
                             delimiter=";", methods=("pca",), k_min=2, k_max=2,
                             seed=3)
     assert curves_to_csv(run_real_data(config)) == curves_to_csv(run_real_data(config))
+
+
+def test_one_method_fitted_at_a_time(linear_csv, monkeypatch):
+    # every reducer of the first method is gone when the second is fitted,
+    # so a sweep holds one method's (K, gamma) grid of reducers at a time
+    pca, pls = methods.METHODS["pca"], methods.METHODS["pls"]
+    first = []
+    alive_at_second = []
+
+    def record_pca(data, ks, gammas):
+        fits = pca.fit(data, ks, gammas)
+        first.extend(weakref.ref(r) for rs in fits.values() for r in rs)
+        return fits
+
+    def check_pls(data, ks, gammas):
+        gc.collect()
+        alive_at_second.extend(r for r in first if r() is not None)
+        return pls.fit(data, ks, gammas)
+
+    monkeypatch.setitem(methods.METHODS, "pca",
+                        dataclasses.replace(pca, fit=record_pca))
+    monkeypatch.setitem(methods.METHODS, "pls",
+                        dataclasses.replace(pls, fit=check_pls))
+    config = RealDataConfig(path=str(linear_csv), response="target",
+                            delimiter=";", methods=("pca", "pls"),
+                            k_min=1, k_max=3, seed=1)
+    result = run_real_data(config)
+    assert [(pt.method, pt.k) for pt in result.points] == [
+        (m, k) for k in (1, 2, 3) for m in ("pca", "pls")]
+    assert all(pt.error is None for pt in result.points)
+    assert len(first) == 3 and not alive_at_second
 
 
 def test_k_range_validation():

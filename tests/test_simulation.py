@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from sdr.regression import mse
+from sdr.data import Dataset
+from sdr.methods import fit_method
 from sdr.simulation import (BenchConfig, SpectrumSpec, SweepConfig, TrialSpec,
-                            _haar, gamma_sweep, generate_trial,
-                            random_orthogonal, report_to_csv, report_to_json,
+                            _centered_views, _haar, gamma_sweep,
+                            generate_trial, report_to_csv, report_to_json,
                             report_to_table, run_benchmark, sweep_to_csv,
                             trial_seed)
 
@@ -30,20 +33,24 @@ class TestSpectrum:
         assert SpectrumSpec("slow").noise_sigma == 2.5
 
 
+def _haar_seeded(p, seed):
+    return _haar(np.random.default_rng(seed), p)
+
+
 class TestRandomOrthogonal:
     def test_p1_is_sign(self):
-        q = random_orthogonal(1, 0)
+        q = _haar_seeded(1, 0)
         assert abs(abs(q[0, 0]) - 1.0) <= 1e-15
 
     @pytest.mark.parametrize("seed", [0, 1, 123])
     def test_orthogonal(self, seed):
-        q = random_orthogonal(7, seed)
+        q = _haar_seeded(7, seed)
         assert np.linalg.norm(q.T @ q - np.eye(7)) <= 1e-10
 
     def test_reproducible_and_seeds_differ(self):
-        a = random_orthogonal(6, 5)
-        b = random_orthogonal(6, 5)
-        c = random_orthogonal(6, 6)
+        a = _haar_seeded(6, 5)
+        b = _haar_seeded(6, 5)
+        c = _haar_seeded(6, 6)
         assert np.array_equal(a, b)
         assert np.linalg.norm(a - c) > 0.1
 
@@ -73,12 +80,6 @@ class TestGenerateTrial:
         assert np.linalg.norm(rand_cols.T @ rand_cols - np.eye(5)) <= 1e-10
         np.testing.assert_array_equal(trial.phi[:, :5], eig_cols)
 
-    def test_noiseless_true_coefficients_fit_exactly(self):
-        spec = TrialSpec(SpectrumSpec("fast"), "well", n_train=150, seed=3,
-                         noise_sigma=0.0)
-        trial = generate_trial(spec)
-        assert mse(trial.train.X @ trial.beta, trial.train.y) == 0.0
-
     def test_well_aligned_projection_keeps_signal(self):
         # regressing on the true top-10 eigenvector scores leaves only noise
         spec = TrialSpec(SpectrumSpec("fast"), "well", n_train=1500, seed=4)
@@ -91,14 +92,15 @@ class TestGenerateTrial:
         assert float(resid @ resid / len(resid)) <= 1.05 * sigma2
 
     def test_empirical_covariance_matches(self):
-        spec = TrialSpec(SpectrumSpec("fast"), "well", n_train=150,
-                         n_test=100_000, seed=12)
+        spec = TrialSpec(SpectrumSpec("fast"), "well", n_train=125_000,
+                         seed=12)
         trial = generate_trial(spec)
         lam = spec.spectrum.eigenvalues()
         v = _haar(np.random.default_rng(12), 100)
         sigma = (v * lam) @ v.T
-        n = trial.test.X.shape[0]
-        emp = trial.test.X.T @ trial.test.X / n
+        n = trial.train.X.shape[0]
+        assert n == 100_000
+        emp = trial.train.X.T @ trial.train.X / n
         se = np.sqrt((np.outer(np.diag(sigma), np.diag(sigma)) + sigma ** 2) / n)
         dev = np.abs(emp - sigma) / se
         # 10^4 entries: a handful beyond 3 SE is expected, none far beyond
@@ -126,14 +128,18 @@ class TestRunBenchmark:
 
     def test_noiseless_well_aligned_floors(self):
         # with sigma = 0 the only PCA error is eigenvector estimation leak;
-        # PLS recovers the coefficients almost exactly
-        cfg = BenchConfig(methods=("pca", "pls"), spectra=("fast",),
-                          alignments=("well",), train_sizes=(1500,),
-                          n_trials=1, noise_sigma=0.0, seed=1)
-        report = run_benchmark(cfg)
-        by_method = {m.method: m for m in report.settings[0].methods}
-        assert by_method["pca"].mean_test_mse <= 0.05
-        assert by_method["pls"].mean_test_mse <= 1e-3
+        # PLS recovers the coefficients almost exactly.  The trial is a
+        # seed-1 benchmark's first one, each split's y replaced by X beta.
+        spec = TrialSpec(SpectrumSpec("fast"), "well", 1500,
+                         trial_seed(1, 0, 0, 0, 0))
+        trial = generate_trial(spec)
+        noiseless = dataclasses.replace(trial, **{
+            name: Dataset(d.X, d.X @ trial.beta) for name, d in
+            (("train", trial.train), ("validation", trial.validation),
+             ("test", trial.test))})
+        train, val, test = _centered_views(noiseless)
+        assert fit_method("pca", train, val, 15).evaluate(test) <= 0.05
+        assert fit_method("pls", train, val, 15).evaluate(test) <= 1e-3
 
     def test_failures_recorded_not_dropped(self):
         cfg = BenchConfig(methods=("pca",), spectra=("fast",),
