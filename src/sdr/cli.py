@@ -1,12 +1,12 @@
 """Command-line front door: synthetic benchmarks, balance-parameter sweeps,
 real-data evaluation, and the brute-force oracle battery.
 
-Every setting is a flag.  ``--config file.json`` stands for the flags its
-flat object names (``{"k": 3}`` is ``--k=3``), placed before the command
-line's own, so an explicit flag wins; SDR_SEED is the seed fallback.  A
-command passes on only the settings that were given: defaults and value
-checks belong to the library configs.  Exit codes: 0 success, 1 oracle or
-run failure, 2 usage/config error.
+Every setting is a flag.  ``--config file.json``, one file naming no other,
+stands for the flags its flat object names (``{"k": 3}`` is ``--k=3``),
+placed before the command line's own, so an explicit flag wins; a non-empty
+SDR_SEED is the seed fallback.  A command passes on only the settings that
+were given: defaults and value checks belong to the library configs.  Exit
+codes: 0 success, 1 oracle or run failure, 2 usage/config error.
 """
 
 from __future__ import annotations
@@ -62,9 +62,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def command(name, help):
         p = sub.add_parser(name, help=help, allow_abbrev=False)
-        p.add_argument("--seed", type=int, default=os.environ.get("SDR_SEED"))
+        p.add_argument("--seed", type=int,
+                       default=os.environ.get("SDR_SEED") or None)
         p.add_argument("--out", default="sdr-out", help="output directory")
-        p.add_argument("--config", help="flat key-value JSON config file")
+        p.add_argument("--config", action="append", help="flat JSON config file")
         return p
 
     sim = command("simulate", "multi-trial synthetic benchmark")
@@ -93,10 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
     real.add_argument("--k-max", type=int, help="largest K")
     real.add_argument("--gamma-grid", type=_gammas)
 
-    oracle = sub.add_parser("oracle-check", help="run the brute-force oracles",
-                            allow_abbrev=False)
-    oracle.add_argument("--inject-perturbation", action="store_true",
-                        help=argparse.SUPPRESS)  # negative-control test hook
+    sub.add_parser("oracle-check", help="run the brute-force oracles",
+                   allow_abbrev=False)
     return parser
 
 
@@ -195,9 +194,8 @@ def _cmd_real_data(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     from .oracles import run_oracles
-    results = run_oracles(inject_perturbation=args.inject_perturbation)
     failed = []
-    for res in results:
+    for res in run_oracles():
         status = "PASS" if res.ok else "FAIL"
         print(f"{status} {res.name}: {res.detail}")
         if not res.ok:
@@ -224,7 +222,9 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             # the command name, the file's flags, then the command line's
             args = parser.parse_args(
-                argv[:1] + _config_flags(args.config) + argv[1:])
+                argv[:1] + _config_flags(args.config[0]) + argv[1:])
+            if len(args.config) > 1:  # a second --config, or a file's key
+                raise ConfigError("give one --config file, naming no other")
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse uses code 2 for usage errors
         code = exc.code

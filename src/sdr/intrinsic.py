@@ -230,19 +230,9 @@ def fit_lspca(data: Dataset, k: int, gamma: float) -> tuple[FittedReducer, Lspca
     shared deterministic completion.  At K = P every basis spans the whole
     space, so the PCA basis is returned without iterating.
 
-    This is the one-gamma call of ``fit_lspca_grid``.
+    This is the one-(K, gamma) call of ``fit_lspca_sweep``.
     """
-    return fit_lspca_grid(data, k, [gamma])[0]
-
-
-def fit_lspca_grid(data: Dataset, k: int, gammas
-                   ) -> list[tuple[FittedReducer, LspcaSolution]]:
-    """LSPCA at every gamma of a grid: ``[(reducer, solution), ...]`` in grid
-    order, each as ``fit_lspca`` describes it.
-
-    This is the one-K call of ``fit_lspca_sweep``.
-    """
-    return fit_lspca_sweep(data, [k], gammas)[k]
+    return fit_lspca_sweep(data, [k], [gamma])[k][0]
 
 
 def fit_lspca_sweep(data: Dataset, ks, gammas

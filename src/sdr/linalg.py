@@ -12,15 +12,7 @@ SYMMETRY_TOL = 1e-10
 
 
 class IterationLimitError(RuntimeError):
-    """Eigensolver did not converge.
-
-    ``iterations`` carries the backend's iteration count when the backend
-    reports one, otherwise None.
-    """
-
-    def __init__(self, message: str, iterations: int | None = None):
-        super().__init__(message)
-        self.iterations = iterations
+    """Eigensolver did not converge."""
 
 
 class RankDeficientError(ValueError):

@@ -29,6 +29,10 @@ DEFAULT_GAMMA_GRID = (0.0,) + tuple(np.logspace(-4.0, 4.0, 15)) + (math.inf,)
 GAMMA_NONNEGATIVE = "[0, inf]"
 GAMMA_POSITIVE = "(0, inf]"
 
+#: Share of a training budget whose last int(round(VAL_FRACTION * n)) rows
+#: are the validation split on which gamma is chosen.
+VAL_FRACTION = 0.2
+
 #: Validation MSEs within this relative distance of the best count as tied;
 #: the earliest grid point among them wins.  At K = P every gamma spans the
 #: whole space and the MSEs differ only by rounding.
@@ -127,7 +131,6 @@ def check_gamma_grid(grid) -> None:
 class MethodFit:
     """A fitted method: optional reducer plus the downstream linear model."""
 
-    method: str
     reducer: FittedReducer | None
     model: RegressionModel
     hyperparams: dict
@@ -140,12 +143,11 @@ class MethodFit:
         return mse(self.predict(data.X), data.y)
 
 
-def with_model(method: str, reducer: FittedReducer | None,
-               train: Dataset) -> MethodFit:
+def with_model(reducer: FittedReducer | None, train: Dataset) -> MethodFit:
     """Fit the downstream least-squares model on the reduced training set."""
     z = train.X if reducer is None else reduce(reducer, train.X)
     hyper = {} if reducer is None else dict(reducer.hyperparams)
-    return MethodFit(method, reducer, ols_fit(z, train.y), hyper)
+    return MethodFit(reducer, ols_fit(z, train.y), hyper)
 
 
 def _gammas(name: str, entry: Method, val: Dataset | None, grid) -> list:
@@ -168,10 +170,10 @@ def _choose(name: str, entry: Method, gammas: list, reducers: list,
     method without gamma, else the one with the lowest finite validation
     MSE, the earliest grid point among those tied within ``TIE_RTOL``."""
     if entry.gamma is None:
-        return with_model(name, reducers[0], train)
+        return with_model(reducers[0], train)
     scored = []
     for gamma, reducer in zip(gammas, reducers):
-        fit = with_model(name, reducer, train)
+        fit = with_model(reducer, train)
         val_mse = fit.evaluate(val)
         if math.isfinite(val_mse):
             scored.append((val_mse, gamma, fit))

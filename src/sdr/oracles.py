@@ -45,19 +45,17 @@ def sphere_grid() -> np.ndarray:
                             np.cos(tt).ravel()])
 
 
-def _oracle_eig_reconstruction(inject: bool) -> OracleResult:
+def _oracle_eig_reconstruction() -> OracleResult:
     rng = np.random.default_rng(11)
     a = rng.standard_normal((5, 5))
     s = (a + a.T) / 2.0
     pairs = sym_eig_topk(s, 5)
     recon = pairs.vectors @ np.diag(pairs.values) @ pairs.vectors.T
-    if inject:
-        recon = recon + 1e-3  # negative-control hook
     err = float(np.linalg.norm(recon - s))
     return OracleResult("eigen_reconstruction", err <= 1e-8, f"||V L V^T - S|| = {err:.2e}")
 
 
-def _oracle_qr_projector(inject: bool) -> OracleResult:
+def _oracle_qr_projector() -> OracleResult:
     rng = np.random.default_rng(12)
     m = rng.standard_normal((6, 3))
     q = orthonormalize(m)
@@ -67,7 +65,7 @@ def _oracle_qr_projector(inject: bool) -> OracleResult:
                         f"||Q^T Q - I|| = {e1:.2e}, ||Q Q^T M - M|| = {e2:.2e}")
 
 
-def _oracle_stiefel_ascent(inject: bool) -> OracleResult:
+def _oracle_stiefel_ascent() -> OracleResult:
     rng = np.random.default_rng(13)
     a = rng.standard_normal((5, 5))
     a = a @ a.T  # p.s.d. objective matrix
@@ -80,7 +78,7 @@ def _oracle_stiefel_ascent(inject: bool) -> OracleResult:
                         f"objective gain at step 1e-4: {gain:.3e}")
 
 
-def _oracle_sphere_grid(inject: bool) -> OracleResult:
+def _oracle_sphere_grid() -> OracleResult:
     grid = sphere_grid()
     worst = math.inf
     detail = []
@@ -109,7 +107,7 @@ def _oracle_sphere_grid(inject: bool) -> OracleResult:
                         ("; " + "; ".join(detail) if detail else ""))
 
 
-def _oracle_pv_decorrelation(inject: bool) -> OracleResult:
+def _oracle_pv_decorrelation() -> OracleResult:
     rng = np.random.default_rng(14)
     data = _dataset(rng, 30, 5)
     reducer = fit_pv(data, 3)
@@ -123,7 +121,7 @@ def _oracle_pv_decorrelation(inject: bool) -> OracleResult:
                         f"max |corr(z_i, z_j)| = {worst:.2e}")
 
 
-def _oracle_lspca_noiseless(inject: bool) -> OracleResult:
+def _oracle_lspca_noiseless() -> OracleResult:
     rng = np.random.default_rng(15)
     x = rng.standard_normal((40, 5))
     x -= x.mean(axis=0)
@@ -140,7 +138,7 @@ def _oracle_lspca_noiseless(inject: bool) -> OracleResult:
                         f"supervised residual = {sup:.2e}, projector error = {proj_err:.2e}")
 
 
-def _oracle_sppca_model_recovery(inject: bool) -> OracleResult:
+def _oracle_sppca_model_recovery() -> OracleResult:
     rng = np.random.default_rng(16)
     n, p, k, sigma = 400, 5, 2, 1e-3
     u_star = orthonormalize(rng.standard_normal((p, k)))
@@ -155,7 +153,7 @@ def _oracle_sppca_model_recovery(inject: bool) -> OracleResult:
                         f"prediction MSE = {err:.3e} (allowance {10 * sigma ** 2:.1e})")
 
 
-def _oracle_ols_residual(inject: bool) -> OracleResult:
+def _oracle_ols_residual() -> OracleResult:
     rng = np.random.default_rng(17)
     z = rng.standard_normal((25, 4))
     y = rng.standard_normal(25)
@@ -166,7 +164,7 @@ def _oracle_ols_residual(inject: bool) -> OracleResult:
                         f"max |Z^T r| (relative) = {worst:.2e}")
 
 
-def _oracle_gaussian_covariance(inject: bool) -> OracleResult:
+def _oracle_gaussian_covariance() -> OracleResult:
     rng = np.random.default_rng(19)
     p, n = 5, 100_000
     spectrum = SpectrumSpec("fast", p=p)
@@ -195,5 +193,5 @@ ORACLES = (
 )
 
 
-def run_oracles(inject_perturbation: bool = False) -> list[OracleResult]:
-    return [fn(inject_perturbation) for fn in ORACLES]
+def run_oracles() -> list[OracleResult]:
+    return [fn() for fn in ORACLES]

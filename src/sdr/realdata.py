@@ -11,14 +11,13 @@ import numpy as np
 
 from .data import (Dataset, IngestError, center_dataset, csv_text,
                    fit_centering, load_csv)
-from .methods import (DEFAULT_GAMMA_GRID, DEFAULT_METHODS, attempt_fit,
-                      check_gamma_grid, check_methods, fit_sweep)
+from .methods import (DEFAULT_GAMMA_GRID, DEFAULT_METHODS, VAL_FRACTION,
+                      attempt_fit, check_gamma_grid, check_methods, fit_sweep)
 from .linalg import sym_eig_topk
 
 #: floor(TEST_FRACTION * N) rows are the test split, the rest train; the
 #: last round(VAL_FRACTION * train) training rows are the validation split.
 TEST_FRACTION = 0.2
-VAL_FRACTION = 0.2
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ import numpy as np
 
 from .data import Dataset, center_dataset, csv_text, fit_centering
 from .methods import (DEFAULT_GAMMA_GRID, DEFAULT_METHODS, METHODS,
-                      attempt_fit, check_gamma_grid, check_methods,
-                      fit_method, with_model)
+                      VAL_FRACTION, attempt_fit, check_gamma_grid,
+                      check_methods, fit_method, with_model)
 
 SPECTRUM_KINDS = ("fast", "slow")
 ALIGNMENT_KINDS = ("well", "mis", "partial")
@@ -29,9 +29,6 @@ FAST_DECAY = 0.85
 
 #: Rank of the response's signal subspace Phi.
 LATENT_DIM = 10
-
-#: Share of a trial's training budget carved off as its validation split.
-VAL_FRACTION = 0.2
 
 #: Rows in every trial's test split.
 N_TEST = 10000
@@ -387,7 +384,7 @@ def gamma_sweep(config: SweepConfig) -> list[SweepCurves]:
         per_method = {}
         for name in SWEEP_METHODS:
             # test MSE per trial (rows) and gamma (columns)
-            vals = [[with_model(name, reducer, train).evaluate(test)
+            vals = [[with_model(reducer, train).evaluate(test)
                      for reducer in METHODS[name].fit(
                          train, [config.k], config.grid)[config.k]]
                     for train, _, test in trials]

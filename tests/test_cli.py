@@ -321,8 +321,15 @@ class TestOracleCheck:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
-    def test_injected_perturbation_fails(self, capsys):
-        assert main(["oracle-check", "--inject-perturbation"]) == 1
+    def test_injected_perturbation_fails(self, capsys, monkeypatch):
+        from sdr import linalg, oracles
+
+        def perturbed(s, k):
+            pairs = linalg.sym_eig_topk(s, k)
+            return linalg.EigenPairs(pairs.values + 1e-3, pairs.vectors)
+
+        monkeypatch.setattr(oracles, "sym_eig_topk", perturbed)
+        assert main(["oracle-check"]) == 1
         captured = capsys.readouterr()
         assert "FAIL eigen_reconstruction" in captured.out
         assert "failed oracles" in captured.err
@@ -352,6 +359,14 @@ class TestUsage:
         assert main(args) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_empty_seed_env_is_unset(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SDR_SEED", "")
+        assert main(["simulate", "--methods", "ols", "--trials", "1",
+                     "--spectrum", "fast", "--alignment", "well",
+                     "--ntrain", "40", "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["config"]["seed"] == 0
 
 
 class TestConfigFile:
@@ -411,6 +426,23 @@ class TestConfigFile:
         rows = (tmp_path / "o" / "curves.csv").read_text().splitlines()
         assert rows[1].startswith("pca,1,")
 
+    @pytest.mark.parametrize("second", ["flag", "key"])
+    def test_second_config_exit_2(self, tmp_path, capsys, second):
+        # either file alone is a valid run; one of them would go unread
+        run = {"methods": "pca", "trials": 1, "spectrum": "fast",
+               "alignment": "well", "ntrain": 150, "k": 2}
+        first, other = tmp_path / "a.json", tmp_path / "b.json"
+        other.write_text(json.dumps(run))
+        args = ["simulate", "--config", str(first)]
+        if second == "flag":
+            first.write_text(json.dumps(run))
+            args += ["--config", str(other)]
+        else:
+            first.write_text(json.dumps({**run, "config": str(other)}))
+        assert main(args + ["--out", str(tmp_path / "o")]) == 2
+        assert "one --config file" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestLibraryOwnsDefaultsAndChecks:
     @pytest.mark.parametrize("argv", [
@@ -467,6 +499,7 @@ class TestLibraryOwnsDefaultsAndChecks:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag", [["--seed", "1"], ["--out", "x"],
-                                      ["--config", "nope.json"]])
+                                      ["--config", "nope.json"],
+                                      ["--inject-perturbation"]])
     def test_oracle_check_takes_no_settings(self, flag):
         assert main(["oracle-check", *flag]) == 2

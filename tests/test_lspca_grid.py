@@ -16,7 +16,7 @@ import pytest
 from sdr import intrinsic
 from sdr.data import Dataset, center_dataset, fit_centering
 from sdr.intrinsic import (_is_isotropic, _rank1_completed_basis, _solve_stack,
-                           fit_lspca, fit_lspca_grid, fit_lspca_sweep)
+                           fit_lspca, fit_lspca_sweep)
 from sdr.linalg import stiefel_step, sym_eig_topk
 from sdr.methods import DEFAULT_GAMMA_GRID
 from sdr.simulation import SpectrumSpec, TrialSpec, generate_trial
@@ -86,7 +86,7 @@ def _sequential_lspca(data, k, gamma):
 
 
 def _assert_matches_sequential(data, k, gammas):
-    grid = fit_lspca_grid(data, k, gammas)
+    grid = fit_lspca_sweep(data, [k], gammas)[k]
     assert len(grid) == len(gammas)
     for gamma, (reducer, sol) in zip(gammas, grid):
         basis, n_iters, converged, trace = _sequential_lspca(data, k, gamma)
@@ -177,7 +177,7 @@ class TestLockStepMatchesSequential:
             monkeypatch.setattr(intrinsic, "LSPCA_MAX_ITERS", max_iters)
         data = _random_dataset(9)
         gammas = [1e-3, 1e6, 0.5, 1e8, 1e-2]
-        grid = fit_lspca_grid(data, 4, gammas)
+        grid = fit_lspca_sweep(data, [4], gammas)[4]
         assert len({sol.n_iters for _, sol in grid}) > 1
         for gamma, (reducer, sol) in zip(gammas, grid):
             alone, alone_sol = fit_lspca(data, 4, gamma)
@@ -190,7 +190,7 @@ class TestLockStepMatchesSequential:
     def test_fit_lspca_is_the_one_gamma_grid(self):
         data = _random_dataset(10)
         reducer, sol = fit_lspca(data, 3, 0.7)
-        (grid_reducer, grid_sol), = fit_lspca_grid(data, 3, [0.7])
+        (grid_reducer, grid_sol), = fit_lspca_sweep(data, [3], [0.7])[3]
         np.testing.assert_array_equal(sol.basis, grid_sol.basis)
         assert sol.objective_trace == grid_sol.objective_trace
         assert reducer.hyperparams == grid_reducer.hyperparams
@@ -198,12 +198,12 @@ class TestLockStepMatchesSequential:
 
 class TestGridClosedForms:
     def test_empty_grid(self):
-        assert fit_lspca_grid(_random_dataset(11), 2, []) == []
+        assert fit_lspca_sweep(_random_dataset(11), [2], []) == {2: []}
 
     def test_full_rank_k_is_pca_without_iterating(self):
         data = _random_dataset(12, p=6)
         pca = sym_eig_topk(data.X.T @ data.X, 6).vectors
-        for reducer, sol in fit_lspca_grid(data, 6, [1e-3, 1.0, math.inf]):
+        for reducer, sol in fit_lspca_sweep(data, [6], [1e-3, 1.0, math.inf])[6]:
             np.testing.assert_array_equal(sol.basis, pca)
             assert sol.n_iters == 0 and sol.converged
             assert len(sol.objective_trace) == 1
@@ -212,13 +212,13 @@ class TestGridClosedForms:
     def test_errors_match_the_sequential_fit(self):
         data = _random_dataset(13, p=5)
         with pytest.raises(ValueError, match="K=6 exceeds P=5"):
-            fit_lspca_grid(data, 6, [1.0, math.inf])
+            fit_lspca_sweep(data, [6], [1.0, math.inf])
         with pytest.raises(ValueError, match="positive"):
-            fit_lspca_grid(data, 2, [1.0, 0.0])
+            fit_lspca_sweep(data, [2], [1.0, 0.0])
         with pytest.raises(ValueError, match=r"gamma must be >= 0"):
-            fit_lspca_grid(data, 2, [1.0, -1.0])
+            fit_lspca_sweep(data, [2], [1.0, -1.0])
         with pytest.raises(ValueError, match=r"gamma must be >= 0"):
-            fit_lspca_grid(data, 2, [math.nan])
+            fit_lspca_sweep(data, [2], [math.nan])
 
 
 def _assert_joint_matches_per_k(data, ks, gammas):
@@ -228,7 +228,7 @@ def _assert_joint_matches_per_k(data, ks, gammas):
     joint = fit_lspca_sweep(data, ks, gammas)
     assert list(joint) == list(ks)
     for k in ks:
-        alone = fit_lspca_grid(data, k, gammas)
+        alone = fit_lspca_sweep(data, [k], gammas)[k]
         assert len(joint[k]) == len(alone) == len(gammas)
         for gamma, (reducer, sol), (want_reducer, want) in zip(
                 gammas, joint[k], alone):
@@ -298,8 +298,8 @@ class TestJointSweepMatchesPerK:
         monkeypatch.setattr(intrinsic, "stiefel_step", stiefel_step)
         _assert_joint_matches_per_k(data, list(range(1, 12)), TUNING_GAMMAS)
         for k in range(6, 12):
-            for (_, sol), (_, want) in zip(joint[k],
-                                           fit_lspca_grid(data, k, TUNING_GAMMAS)):
+            alone = fit_lspca_sweep(data, [k], TUNING_GAMMAS)[k]
+            for (_, sol), (_, want) in zip(joint[k], alone):
                 np.testing.assert_array_equal(sol.basis, want.basis)
                 assert sol.objective_trace == want.objective_trace
 
@@ -316,7 +316,7 @@ class TestJointSweepMatchesPerK:
         agrees to 1e-15."""
         data = _random_dataset(9)
         (_, sol), = fit_lspca_sweep(data, [1, 4], [1e8])[1]
-        (_, want), = fit_lspca_grid(data, 1, [1e8])
+        (_, want), = fit_lspca_sweep(data, [1], [1e8])[1]
         assert sol.n_iters == want.n_iters == 1
         assert sol.objective_trace[-1] == pytest.approx(
             want.objective_trace[-1], rel=1e-12, abs=0)

@@ -31,7 +31,7 @@ import pytest
 
 from sdr.data import Dataset, center_dataset, fit_centering, load_csv
 from sdr.intrinsic import (SPPCA_MAX_ITERS, SPPCA_TOL, SPPCA_VARIANCE_FLOOR,
-                           fit_barshan_extended, fit_lspca_grid,
+                           fit_barshan_extended, fit_lspca_sweep,
                            fit_pls_extended, fit_pls_grid, fit_sppca,
                            fit_sppca_model)
 from sdr.linalg import DegenerateDirectionError, fix_signs, sym_eig_topk
@@ -331,7 +331,7 @@ class TestDatasetMoments:
             (lambda d: fit_sppca(d, 3).basis),
             (lambda d: np.stack([f.basis for f in fit_pls_grid(d, 4, grid)])),
             (lambda d: np.stack([fit_barshan_extended(d, 3, g).basis for g in grid])),
-            (lambda d: np.stack([r.basis for r, _ in fit_lspca_grid(d, 3, [0.5, math.inf])])),
+            (lambda d: np.stack([r.basis for r, _ in fit_lspca_sweep(d, [3], [0.5, math.inf])[3]])),
             (lambda d: pca_reducer(d, 3).basis),
         ]
         for fit in fits:
