@@ -103,56 +103,39 @@ def fit_pls_grid(data: Dataset, k: int, gammas) -> list[FittedReducer]:
     copy of them (kernel PLS: Lindgren, Geladi & Wold, J. Chemometrics
     1993; Dayal & MacGregor, J. Chemometrics 1997), so no step touches the
     N rows.  The fits advance one component per round: every gamma > 0
-    still running contributes its matrix w w^T + gamma X_k^T X_k (X_k^T X_k
-    at gamma = inf) to one ``sym_eig_top1`` stack.  Each fit keeps its own
-    degeneracy checks; if any fit raises, the error of the first gamma in
-    grid order that raises is raised, as a loop over the grid would.
+    contributes its matrix w w^T + gamma X_k^T X_k (X_k^T X_k at gamma =
+    inf) to one ``sym_eig_top1`` stack.  Every gamma and K is checked before
+    any fit.  Each fit keeps its own degeneracy checks, and the first
+    component at which any fails raises the error of the earliest such
+    gamma in grid order: a failure at component j is the same at any K >= j.
     """
-    errors: dict[int, Exception] = {}  # grid index -> the error it raised
-    checked = []
-    for i, gamma in enumerate(gammas):
-        try:
-            gamma = _check_gamma(gamma)
-            if k > data.p:
-                raise ValueError(f"K={k} exceeds P={data.p}")
-        except ValueError as exc:
-            # the gammas after the first failing one cannot change the outcome
-            errors[i] = exc
-            break
-        checked.append(gamma)
+    checked = [_check_gamma(gamma) for gamma in gammas]
+    if k > data.p:
+        raise ValueError(f"K={k} exceeds P={data.p}")
     mom = data.moments
     # the deflated moments carry round-off of the undeflated scale: below
     # _W_TOL of it, X^T y (scale |X| |y|) and X^T X (trace |X|^2) count as zero
     tr_cov = float(np.trace(mom.xx))
     scale = math.sqrt(tr_cov * mom.yy)
     state = [(mom.xx, mom.xy, mom.yy)] * len(checked)
-    live = list(range(len(checked)))
     cols: list[list] = [[] for _ in checked]
+    stacked = [i for i, gamma in enumerate(checked) if gamma > 0.0]
     for it in range(1, k + 1):
-        stacked = [i for i in live if checked[i] > 0.0]
-        if stacked:
-            values, vectors = sym_eig_top1(np.array([
+        if stacked:  # the top eigenpairs of the gammas > 0, in grid order
+            pairs = iter(zip(*sym_eig_top1(np.array([
                 cov if math.isinf(g) else np.outer(w, w) + g * cov
-                for g, (cov, w, _) in ((checked[i], state[i]) for i in stacked)]))
-        top = {i: j for j, i in enumerate(stacked)}
-        for i in live:
-            try:
-                if i in top:
-                    weight = 1.0 if math.isinf(checked[i]) else checked[i]
-                    if values[top[i]] <= _W_TOL * weight * tr_cov:
-                        raise DegenerateDirectionError(
-                            it, f"deflated data vanished at iteration {it}")
-                    u = vectors[top[i]]
-                else:
-                    u = _supervised_direction(state[i][1], scale, it)
-                cols[i].append(u)
-                state[i] = _deflate(*state[i], u, it)
-            except DegenerateDirectionError as exc:
-                errors[i] = exc
-                break
-        live = [i for i in live if i < min(errors, default=len(checked))]
-    if errors:
-        raise errors[min(errors)]
+                for g, (cov, w, _) in ((checked[i], state[i]) for i in stacked)]))))
+        for i, gamma in enumerate(checked):
+            if gamma > 0.0:
+                value, u = next(pairs)
+                weight = 1.0 if math.isinf(gamma) else gamma
+                if value <= _W_TOL * weight * tr_cov:
+                    raise DegenerateDirectionError(
+                        it, f"deflated data vanished at iteration {it}")
+            else:
+                u = _supervised_direction(state[i][1], scale, it)
+            cols[i].append(u)
+            state[i] = _deflate(*state[i], u, it)
     return [FittedReducer("pls", k, basis=np.column_stack(cols[i]),
                           hyperparams={"gamma": gamma})
             for i, gamma in enumerate(checked)]
@@ -257,15 +240,12 @@ def fit_lspca_sweep(data: Dataset, ks, gammas
     """
     p = data.p
     ks = list(ks)
+    checked = [_check_gamma(gamma) for gamma in gammas]
     too_large = [k for k in ks if k > p]
-    checked = []
-    for gamma in gammas:
-        gamma = _check_gamma(gamma)
-        if too_large:
-            raise ValueError(f"K={too_large[0]} exceeds P={p}")
-        if gamma == 0.0:
-            raise ValueError("gamma must be positive and finite (or math.inf)")
-        checked.append(gamma)
+    if too_large:
+        raise ValueError(f"K={too_large[0]} exceeds P={p}")
+    if 0.0 in checked:
+        raise ValueError("gamma must be positive and finite (or math.inf)")
     cov, w, yy, _ = data.moments
     tr_cov = float(np.trace(cov))
     results = {k: [None] * len(checked) for k in ks}

@@ -18,6 +18,7 @@ import numpy as np
 from .data import Dataset, FittedReducer, json_safe, reduce
 from .intrinsic import (fit_barshan_extended, fit_lspca_sweep, fit_pls_grid,
                         fit_sppca)
+from .linalg import DegenerateDirectionError
 from .regression import RegressionModel, mse, ols_fit
 from .wrappers import fit_bair, fit_pcps, fit_pv
 
@@ -45,9 +46,9 @@ class Method:
 
     ``fit(train, ks, gammas)`` returns ``{k: reducers}`` over the Ks of
     ``ks``, each list holding the fitted reducers at every gamma of
-    ``gammas``, in grid order; the raw-feature baseline's reducer is None.
-    ``gamma`` is the gamma domain, or None for a method without gamma, which
-    is fitted once per K, at ``gammas = [None]``.
+    ``gammas`` in grid order, or else the error the fit at K raises; the
+    raw-feature baseline's reducer is None.  ``gamma`` is the gamma domain,
+    or None for a method without gamma, fitted at ``gammas = [None]``.
     """
 
     fit: Callable[[Dataset, list, list], dict]
@@ -69,14 +70,38 @@ def pca_reducer(data: Dataset, k: int) -> FittedReducer:
     return FittedReducer("pca", k, basis=sym_eig_topk(data.moments.xx, k).vectors)
 
 
+def _outcome(fit: Callable, *args):
+    """``fit(*args)``, or the error it raises."""
+    try:
+        return fit(*args)
+    except Exception as exc:
+        return exc
+
+
+def _per_k(fit: Callable[[Dataset, int, list], list]) -> Callable:
+    """The registry fit over Ks of a method fitted at each K on its own."""
+    return lambda d, ks, gs: {k: _outcome(fit, d, k, gs) for k in ks}
+
+
 def _prefixes(fit: Callable[[Dataset, int, list], list]) -> Callable:
     """The registry fit over Ks of a method whose fit at K is, bit for bit,
     ``FittedReducer.prefix(K)`` of its fit at any larger K: ``fit(train, k,
-    gammas)`` runs once, at ``max(ks)``, and every K takes the prefixes."""
+    gammas)`` runs at the largest K, and every K takes the prefixes.  An
+    error at component j (``DegenerateDirectionError``) is every K >= j's,
+    any other error its K's alone; the fit then runs at the largest K left."""
     def fit_ks(train: Dataset, ks, gammas) -> dict:
-        whole = fit(train, max(ks), gammas)
-        return {k: [None if r is None else r.prefix(k) for r in whole]
-                for k in ks}
+        out, pending = {}, sorted(set(ks))
+        while pending:
+            top = pending[-1]
+            fits = _outcome(fit, train, top, gammas)
+            if not isinstance(fits, Exception):
+                out.update((k, [r.prefix(k) for r in fits]) for k in pending)
+                break
+            j = (min(fits.iteration, top)
+                 if isinstance(fits, DegenerateDirectionError) else top)
+            out.update((k, fits) for k in pending if k >= j)
+            pending = [k for k in pending if k < j]
+        return {k: out[k] for k in ks}
     return fit_ks
 
 
@@ -86,20 +111,19 @@ def _prefixes(fit: Callable[[Dataset, int, list], list]) -> Callable:
 # the trailing columns together, and the first columns of that are not
 # bitwise the completion at a smaller K.
 METHODS = {
-    "ols": Method(_prefixes(lambda d, k, gs: [None])),
+    "ols": Method(_per_k(lambda d, k, gs: [None])),
     "pca": Method(_prefixes(lambda d, k, gs: [pca_reducer(d, k)])),
-    "bair": Method(lambda d, ks, gs: {k: [fit_bair(d, k)] for k in ks}),
+    "bair": Method(_per_k(lambda d, k, gs: [fit_bair(d, k)])),
     "pv": Method(_prefixes(lambda d, k, gs: [fit_pv(d, k)])),
     "pcps": Method(_prefixes(lambda d, k, gs: [fit_pcps(d, k)])),
     "pls": Method(_prefixes(lambda d, k, gs: fit_pls_grid(d, k, gs)),
                   GAMMA_NONNEGATIVE),
-    "barshan": Method(lambda d, ks, gs: {
-        k: [fit_barshan_extended(d, k, g) for g in gs] for k in ks},
-        GAMMA_NONNEGATIVE),
+    "barshan": Method(_per_k(lambda d, k, gs: [
+        fit_barshan_extended(d, k, g) for g in gs]), GAMMA_NONNEGATIVE),
     "lspca": Method(lambda d, ks, gs: {
         k: [r for r, _ in fits] for k, fits in fit_lspca_sweep(d, ks, gs).items()},
         GAMMA_POSITIVE),
-    "sppca": Method(lambda d, ks, gs: {k: [fit_sppca(d, k)] for k in ks}),
+    "sppca": Method(_per_k(lambda d, k, gs: [fit_sppca(d, k)])),
 }
 
 #: Benchmark roster in report row order: the raw-feature baseline, classic
@@ -150,9 +174,12 @@ def with_model(reducer: FittedReducer | None, train: Dataset) -> MethodFit:
     return MethodFit(reducer, ols_fit(z, train.y), hyper)
 
 
-def _gammas(name: str, entry: Method, val: Dataset | None, grid) -> list:
-    """The gammas ``entry`` is fitted at: [None] for a method without
+def _gammas(name: str, val: Dataset | None, grid) -> list:
+    """The gammas method ``name`` is fitted at: [None] for a method without
     gamma, else the in-domain points of ``grid``."""
+    entry = METHODS.get(name)
+    if entry is None:
+        raise ValueError(f"unknown method {name!r}")
     if entry.gamma is None:
         return [None]
     if val is None:
@@ -164,12 +191,20 @@ def _gammas(name: str, entry: Method, val: Dataset | None, grid) -> list:
     return gammas
 
 
-def _choose(name: str, entry: Method, gammas: list, reducers: list,
-            train: Dataset, val: Dataset | None) -> MethodFit:
-    """The fit of ``reducers``, fitted at ``gammas``: the one reducer of a
-    method without gamma, else the one with the lowest finite validation
-    MSE, the earliest grid point among those tied within ``TIE_RTOL``."""
-    if entry.gamma is None:
+def unwrap(outcome):
+    """The reducers of one K's registry outcome, or raise its error."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _choose(name: str, gammas: list, outcome, train: Dataset,
+            val: Dataset | None) -> MethodFit:
+    """The fit of ``unwrap(outcome)``: the one reducer of a method without
+    gamma, else the one with the lowest finite validation MSE, the earliest
+    grid point among those tied within ``TIE_RTOL``."""
+    reducers = unwrap(outcome)
+    if gammas == [None]:
         return with_model(reducers[0], train)
     scored = []
     for gamma, reducer in zip(gammas, reducers):
@@ -188,43 +223,29 @@ def _choose(name: str, entry: Method, gammas: list, reducers: list,
 
 def fit_method(name: str, train: Dataset, val: Dataset | None, k: int, *,
                gamma_grid=DEFAULT_GAMMA_GRID) -> MethodFit:
-    """Fit one registered method on centered data.
+    """Fit one registered method on centered data: ``fit_sweep`` at one K.
 
     ``train`` and ``val`` must share the centering transform.  ``val`` is
     only consulted by the methods with a gamma domain.
     """
-    entry = METHODS.get(name)
-    if entry is None:
-        raise ValueError(f"unknown method {name!r}")
-    gammas = _gammas(name, entry, val, gamma_grid)
-    return _choose(name, entry, gammas, entry.fit(train, [k], gammas)[k],
-                   train, val)
+    return fit_sweep(name, train, val, [k], gamma_grid=gamma_grid)[k]()
 
 
 def fit_sweep(name: str, train: Dataset, val: Dataset | None, ks, *,
               gamma_grid=DEFAULT_GAMMA_GRID) -> dict:
-    """``{k: thunk}`` over ``ks``: each thunk returns what ``fit_method(name,
-    train, val, k, ...)`` returns, or raises what it raises.
-
-    The method is fitted by one registry call over the whole K range (a
-    whole gamma grid at each K for a tuned one); gamma is then chosen per K
-    on its reducers.  If that call raises, every K is fitted on its own by
-    ``fit_method``, so every error text and every partial success across the
-    K range is the per-K one.
+    """``{k: thunk}`` over ``ks``: each thunk returns the method's fit at K,
+    gamma chosen on ``val``, or raises that K's error.  The method is fitted
+    by one registry call over the whole K range (a whole gamma grid at each
+    K for a tuned one).  An error raised before or by that call (an unknown
+    method, no in-domain gamma, a failed joint fit) is every K's error.
     """
     ks = list(ks)
-    per_k = {k: partial(fit_method, name, train, val, k, gamma_grid=gamma_grid)
-             for k in ks}
-    entry = METHODS.get(name)
-    if entry is None or not ks:
-        return per_k
     try:
-        gammas = _gammas(name, entry, val, gamma_grid)
-        fits = entry.fit(train, ks, gammas)
-    except Exception:  # the per-K fits reproduce it, K by K
-        return per_k
-    return {k: partial(_choose, name, entry, gammas, fits[k], train, val)
-            for k in ks}
+        gammas = _gammas(name, val, gamma_grid)
+        fits = METHODS[name].fit(train, ks, gammas)
+    except Exception as exc:
+        gammas, fits = None, dict.fromkeys(ks, exc)
+    return {k: partial(_choose, name, gammas, fits[k], train, val) for k in ks}
 
 
 def attempt_fit(fit: Callable[[], MethodFit], train: Dataset,

@@ -95,13 +95,12 @@ def run_real_data(config: RealDataConfig) -> RealDataResult:
     ks = range(config.k_min, k_max + 1)
     result = RealDataResult(feature_names=names, n_train=n_train,
                             n_test=n_test, spectrum=spectrum)
-    # each method is fitted once for the whole K range and scored before the
-    # next is fitted, so one method's reducers are alive at a time
+    # each method is fitted once for the whole K range, and every K is scored
+    # and dropped before the next method is fitted
     scores = {}
     for method in config.methods:
         sweep = fit_sweep(method, train, val, ks, gamma_grid=config.gamma_grid)
-        scores[method] = {k: attempt_fit(sweep[k], train, test) for k in ks}
-        del sweep
+        scores[method] = {k: attempt_fit(sweep.pop(k), train, test) for k in ks}
     result.points = [CurvePoint(method, k, *scores[method][k])
                      for k in ks for method in config.methods]
     return result

@@ -14,7 +14,7 @@ import numpy as np
 from .data import Dataset, center_dataset, csv_text, fit_centering
 from .methods import (DEFAULT_GAMMA_GRID, DEFAULT_METHODS, METHODS,
                       VAL_FRACTION, attempt_fit, check_gamma_grid,
-                      check_methods, fit_method, with_model)
+                      check_methods, fit_method, unwrap, with_model)
 
 SPECTRUM_KINDS = ("fast", "slow")
 ALIGNMENT_KINDS = ("well", "mis", "partial")
@@ -385,8 +385,8 @@ def gamma_sweep(config: SweepConfig) -> list[SweepCurves]:
         for name in SWEEP_METHODS:
             # test MSE per trial (rows) and gamma (columns)
             vals = [[with_model(reducer, train).evaluate(test)
-                     for reducer in METHODS[name].fit(
-                         train, [config.k], config.grid)[config.k]]
+                     for reducer in unwrap(METHODS[name].fit(
+                         train, [config.k], config.grid)[config.k])]
                     for train, _, test in trials]
             per_method[name] = [float(np.mean(col)) for col in zip(*vals)]
         curves.append(SweepCurves(alignment=alignment,

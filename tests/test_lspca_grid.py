@@ -211,8 +211,9 @@ class TestGridClosedForms:
 
     def test_errors_match_the_sequential_fit(self):
         data = _random_dataset(13, p=5)
-        with pytest.raises(ValueError, match="K=6 exceeds P=5"):
-            fit_lspca_sweep(data, [6], [1.0, math.inf])
+        for grid in ([1.0, math.inf], []):  # whatever the grid
+            with pytest.raises(ValueError, match="K=6 exceeds P=5"):
+                fit_lspca_sweep(data, [6], grid)
         with pytest.raises(ValueError, match="positive"):
             fit_lspca_sweep(data, [2], [1.0, 0.0])
         with pytest.raises(ValueError, match=r"gamma must be >= 0"):
@@ -343,8 +344,9 @@ class TestJointSweepMatchesPerK:
     def test_empty_grid_and_errors(self):
         data = _random_dataset(17, p=5)
         assert fit_lspca_sweep(data, [1, 3], []) == {1: [], 3: []}
-        with pytest.raises(ValueError, match="K=6 exceeds P=5"):
-            fit_lspca_sweep(data, [2, 6, 7], [1.0])
+        for grid in ([1.0], []):
+            with pytest.raises(ValueError, match="K=6 exceeds P=5"):
+                fit_lspca_sweep(data, [2, 6, 7], grid)
         with pytest.raises(ValueError, match="positive"):
             fit_lspca_sweep(data, [1, 2], [1.0, 0.0])
 

@@ -20,12 +20,15 @@ import numpy as np
 import pytest
 
 import sdr.intrinsic
+import sdr.methods
 import sdr.wrappers
 from sdr.data import (Dataset, FittedReducer, IngestError, center_dataset,
                       fit_centering, load_csv)
-from sdr.linalg import RankDeficientError, sym_eig_topk
+from sdr.intrinsic import fit_lspca_sweep
+from sdr.linalg import (DegenerateDirectionError, RankDeficientError,
+                        sym_eig_topk)
 from sdr.methods import (DEFAULT_GAMMA_GRID, DEFAULT_METHODS, METHODS,
-                         attempt_fit, fit_method, fit_sweep)
+                         _prefixes, attempt_fit, fit_method, fit_sweep)
 from sdr.realdata import (TEST_FRACTION, VAL_FRACTION, CurvePoint,
                           RealDataConfig, RealDataResult, curves_to_csv,
                           result_to_json, run_real_data, spectrum_to_csv)
@@ -274,13 +277,16 @@ class TestPrefix:
 # ---------------------------------------------------------------------------
 
 class TestFitSweep:
-    def test_component_solves_once_per_sweep(self, tmp_path, monkeypatch):
+    def test_component_solves_once_per_sweep(self, tmp_path, tiny_wine_csv,
+                                             monkeypatch):
         """PLS solves one top eigenvector per gamma > 0 and component (a
         slice of a stacked ``sym_eig_top1`` call), and takes gamma = 0's
         closed form; PV one stacked solve per component.  Over K = 1..11
         that is 17 x 11 PLS and 11 PV component solves, not 17 x 66 and
-        66."""
-        counts = {"pls": 0, "pv": 0}
+        66.  On the 12-row CSV both break down at component 8: the fit at
+        K = 11 solves 8 components and the fit again at K = 7 solves 7, so
+        each kernel runs twice and solves 15 components, not 68."""
+        counts = dict.fromkeys(("pls", "pv", "fit_pls_grid", "fit_pv"), 0)
 
         def counting(module, attr, key, solves=lambda *args: 1):
             fn = getattr(module, attr)
@@ -293,11 +299,18 @@ class TestFitSweep:
         counting(sdr.intrinsic, "sym_eig_top1", "pls", lambda mats: len(mats))
         counting(sdr.intrinsic, "_supervised_direction", "pls")
         counting(sdr.wrappers, "sym_eig_top1", "pv")
+        counting(sdr.methods, "fit_pls_grid", "fit_pls_grid")
+        counting(sdr.methods, "fit_pv", "fit_pv")
         path = tmp_path / "wine.csv"
         write_wine_csv(2, path, n=600)
-        result = run_real_data(_config(path, methods=("pls", "pv")))
-        assert all(pt.error is None for pt in result.points)
-        assert counts == {"pls": len(DEFAULT_GAMMA_GRID) * 11, "pv": 11}
+        grid = len(DEFAULT_GAMMA_GRID)
+        for csv, solves, runs, failed in ((path, 11, 1, set()),
+                                         (tiny_wine_csv, 15, 2, set(range(8, 12)))):
+            counts.update(dict.fromkeys(counts, 0))
+            result = run_real_data(_config(csv, methods=("pls", "pv")))
+            assert {pt.k for pt in result.points if pt.error} == failed
+            assert counts == {"pls": grid * solves, "pv": solves,
+                              "fit_pls_grid": runs, "fit_pv": runs}
 
     def test_unknown_method_raises_per_k(self):
         data = _p100_trial()
@@ -317,17 +330,21 @@ class TestFitSweep:
         data = _p100_trial()
         assert fit_sweep("pca", data, data, []) == {}
 
-    def test_falls_back_per_k_when_the_joint_fit_raises(self, monkeypatch):
+    def test_a_failing_joint_fit_is_every_ks_error(self, monkeypatch):
         """A Stiefel step that fails on stacks of three or more columns
-        breaks LSPCA's joint fit over K = 1..4; the sweep then fits each K
-        alone, so K = 1 and 2 succeed and K = 3 and 4 raise, as
-        ``fit_method`` does."""
+        breaks LSPCA's joint fit over K = 1..4; the sweep's one registry
+        call raises, and its error is every K's."""
         stiefel_step = sdr.intrinsic.stiefel_step
+        sweeps = []
 
         def failing(u, grad, step):
             if u.shape[-1] >= 3:
                 raise RankDeficientError(2)
             return stiefel_step(u, grad, step)
+
+        def counted(*args):
+            sweeps.append(args[1])
+            return fit_lspca_sweep(*args)
 
         rng = np.random.default_rng(21)
         x = rng.standard_normal((80, 6))
@@ -335,17 +352,39 @@ class TestFitSweep:
         raw_train, raw_val = Dataset(x[:60], y[:60]), Dataset(x[60:], y[60:])
         transform = fit_centering(raw_train)
         train, val = (center_dataset(d, transform) for d in (raw_train, raw_val))
-        want = {k: fit_method("lspca", train, val, k) for k in (1, 2)}
         monkeypatch.setattr(sdr.intrinsic, "stiefel_step", failing)
-        with pytest.raises(RankDeficientError):
-            METHODS["lspca"].fit(train, [1, 2, 3, 4], [1.0])
+        monkeypatch.setattr(sdr.methods, "fit_lspca_sweep", counted)
         thunks = fit_sweep("lspca", train, val, [1, 2, 3, 4])
-        for k in (1, 2):
-            got = thunks[k]()
-            assert got.hyperparams == want[k].hyperparams
-            assert got.reducer.basis.tobytes() == want[k].reducer.basis.tobytes()
-        for k in (3, 4):
+        assert sweeps == [[1, 2, 3, 4]]
+        for k in (1, 2, 3, 4):
             with pytest.raises(RankDeficientError, match="column 2"):
                 thunks[k]()
             assert attempt_fit(thunks[k], train, val)[3] == (
                 "RankDeficientError: " + str(RankDeficientError(2)))
+
+
+class TestPrefixes:
+    def test_errors_by_component_and_by_k(self):
+        """A kernel that degenerates at component 8 and refuses K = 6 and
+        7 on their own: over K = 1..11 it runs at K = 11, 7, 6 and 5; Ks
+        8-11 share the component error, 6 and 7 keep their own, and 1-5
+        take the prefixes of the fit at 5."""
+        calls = []
+        degenerate = DegenerateDirectionError(8)
+
+        def kernel(data, k, gammas):
+            calls.append(k)
+            if k >= 8:
+                raise degenerate
+            if k in (6, 7):
+                raise ValueError(f"K={k} is refused")
+            return [FittedReducer("pca", k, basis=np.eye(11)[:, :k].copy())]
+
+        out = _prefixes(kernel)(None, list(range(1, 12)), [None])
+        assert calls == [11, 7, 6, 5]
+        assert list(out) == list(range(1, 12))
+        assert all(out[k] is degenerate for k in range(8, 12))
+        for k in (6, 7):
+            assert isinstance(out[k], ValueError) and str(out[k]) == f"K={k} is refused"
+        for k in range(1, 6):
+            _assert_bitwise_equal(out[k][0], kernel(None, k, [None])[0])

@@ -132,17 +132,26 @@ class TestPLSGrid:
 
     @staticmethod
     def _loop_error(data, k, grid):
+        """The first gamma that fails validation, checked before any fit;
+        else the error of the first component at which a per-gamma loop
+        fails, at the earliest such gamma in grid order."""
+        for gamma in grid:
+            try:
+                _check_gamma(gamma)
+            except ValueError as exc:
+                return exc
+        errors = []
         for gamma in grid:
             try:
                 _pls_eigh_loop(data, k, gamma)
-            except Exception as exc:
-                return exc
-        return None
+            except DegenerateDirectionError as exc:
+                errors.append(exc)
+        return min(errors, key=lambda exc: exc.iteration, default=None)
 
     @pytest.mark.parametrize("grid", [
         [1.0, 0.0, math.inf],     # gamma = 0 degenerates
-        [0.0, -1.0],              # ... before a later gamma fails validation
-        [2.0, -1.0, 0.0],         # ... after an earlier one does
+        [0.0, -1.0],              # a later gamma fails validation first
+        [2.0, -1.0, 0.0],
         [1.0, math.nan],
     ])
     def test_first_failing_gamma_in_grid_order_raises(self, grid):
@@ -162,5 +171,6 @@ class TestPLSGrid:
             assert exc.value.iteration == expected.iteration
 
     def test_k_above_p_raises(self):
-        with pytest.raises(ValueError, match="K=6 exceeds P=5"):
-            fit_pls_grid(_random_dataset(5, p=5), 6, [0.0, 1.0])
+        for grid in ([0.0, 1.0], []):  # whatever the grid
+            with pytest.raises(ValueError, match="K=6 exceeds P=5"):
+                fit_pls_grid(_random_dataset(5, p=5), 6, grid)
