@@ -269,14 +269,14 @@ def csv_text(header, rows) -> str:
 
 def load_csv(path, response: str, delimiter: str = ",",
              drop: tuple[str, ...] = ()) -> tuple[Dataset, list[str]]:
-    """Read a delimited file with a header row into a Dataset.
+    """Read a delimited UTF-8 file (BOM or not) with a header row into a Dataset.
 
     The named response column becomes y; all remaining (non-dropped) columns
     must be numeric and become the variables.  A header naming a column
     twice, or a non-numeric or non-finite cell, raises IngestError naming
     the column (and the cell's 1-based data row).
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = next(reader)

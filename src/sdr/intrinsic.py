@@ -159,10 +159,8 @@ def fit_barshan_extended(data: Dataset, k: int, gamma: float) -> FittedReducer:
     if math.isinf(gamma):
         basis = sym_eig_topk(cov, k).vectors
     else:
-        if gamma == 0.0:
-            scale = math.sqrt(float(np.trace(cov)) * yy)
-            if np.linalg.norm(w) <= _W_TOL * max(scale, 1e-300):
-                raise DegenerateDirectionError(1, "X^T y vanishes")
+        if gamma == 0.0:  # raises where X^T y vanishes, as PLS does
+            _supervised_direction(w, math.sqrt(float(np.trace(cov)) * yy), 1)
         if gamma == 0.0 or (_is_isotropic(cov) and np.linalg.norm(w) > 0):
             basis = _rank1_completed_basis(w, cov, k)
             hyper["degenerate_completion"] = k > 1

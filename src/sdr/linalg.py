@@ -196,9 +196,7 @@ def sym_eig_top1(s: np.ndarray, sizes=None) -> tuple[np.ndarray, np.ndarray]:
         vals, vecs = np.linalg.eigh(block(i))
         values[i] = vals[-1]
         vectors[i, :sizes[i]] = vecs[:, -1]
-    lead_entry = np.abs(vectors).argmax(axis=1)
-    vectors[vectors[np.arange(b), lead_entry] < 0] *= -1.0
-    return values, vectors
+    return values, np.ascontiguousarray(fix_signs(vectors.T).T)
 
 
 def _lanczos_top1(product, start: np.ndarray, norms: np.ndarray):

@@ -12,6 +12,7 @@ from itertools import product
 import numpy as np
 
 from .data import Dataset, center_dataset, csv_text, fit_centering
+from .linalg import orthonormalize
 from .methods import (DEFAULT_GAMMA_GRID, DEFAULT_METHODS, METHODS,
                       VAL_FRACTION, attempt_fit, check_gamma_grid,
                       check_methods, fit_method, unwrap, with_model)
@@ -90,14 +91,6 @@ class TrialData:
     beta: np.ndarray     # P ground-truth coefficient vector
 
 
-def _haar(rng: np.random.Generator, p: int) -> np.ndarray:
-    a = rng.standard_normal((p, p))
-    q, r = np.linalg.qr(a)
-    d = np.sign(np.diag(r))
-    d[d == 0] = 1.0
-    return q * d
-
-
 def _phi_columns(v: np.ndarray, alignment: str,
                  rng: np.random.Generator) -> np.ndarray:
     p = v.shape[0]
@@ -130,7 +123,7 @@ def generate_trial(spec: TrialSpec) -> TrialData:
     rng = np.random.default_rng(spec.seed)
     p = spec.spectrum.p
     lam = spec.spectrum.eigenvalues()
-    v = _haar(rng, p)
+    v = orthonormalize(rng.standard_normal((p, p)))  # Haar-distributed
     phi = _phi_columns(v, spec.alignment, rng)
     beta = phi @ np.ones(LATENT_DIM)
     sqrt_lam = np.sqrt(lam)

@@ -197,6 +197,23 @@ class TestRealData:
         assert (out / "spectrum.csv").exists()
         assert (out / "real_data.json").exists()
 
+    def test_csv_with_byte_order_mark(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the header with a BOM: the first column
+        # keeps its name, so it can be dropped, and the reports are those of
+        # the same file without the BOM
+        plain = _toy_csv(tmp_path)
+        marked = tmp_path / "bom.csv"
+        marked.write_text("\ufeff" + plain.read_text(), encoding="utf-8")
+        assert marked.read_bytes()[:4] == b"\xef\xbb\xbfa"
+        for path, out in ((plain, "plain"), (marked, "bom")):
+            code = main(["real-data", "--data", str(path), "--response",
+                         "target", "--drop", "a", "--methods", "pca,pls",
+                         "--k-max", "2", "--out", str(tmp_path / out)])
+            assert code == 0
+        for name in ("curves.csv", "spectrum.csv", "real_data.json"):
+            assert ((tmp_path / "bom" / name).read_bytes()
+                    == (tmp_path / "plain" / name).read_bytes())
+
     def test_real_data_json_key_order(self, tmp_path):
         # pinned: a field added to CurvePoint changes real_data.json
         assert main(["real-data", "--data", str(_toy_csv(tmp_path)),

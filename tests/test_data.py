@@ -236,6 +236,17 @@ class TestLoadCsv:
         np.testing.assert_array_equal(data.X, [[1, 2], [4, 5]])
         np.testing.assert_array_equal(data.y, [3, 6])
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a BOM, before the first name
+        path = self._write(tmp_path, "\ufeffy,a,b\n1,2,3\n4,5,6\n")
+        data, names = load_csv(path, "y")
+        assert names == ["a", "b"]
+        np.testing.assert_array_equal(data.X, [[2, 3], [5, 6]])
+        np.testing.assert_array_equal(data.y, [1, 4])
+        data, names = load_csv(path, "b", drop=("y",))
+        assert names == ["a"]
+        np.testing.assert_array_equal(data.y, [3, 6])
+
     def test_missing_response_column(self, tmp_path):
         path = self._write(tmp_path, "a,b\n1,2\n3,4\n")
         with pytest.raises(IngestError, match="'quality' not found"):

@@ -148,6 +148,19 @@ class TestBarshan:
         expected = sym_eig_topk(proj @ data.X.T @ data.X @ proj, 2).vectors
         assert np.linalg.norm(_projector(basis[:, 1:]) - _projector(expected)) <= 1e-8
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_constant_response_fails_as_pls_does(self, k):
+        # at gamma = 0 both take their first direction from X^T y, which a
+        # constant response makes vanish: both fail with one error
+        x = np.random.default_rng(11).standard_normal((40, 8))
+        data = _centered(x, np.full(40, 3.0))
+        errors = []
+        for fit in (fit_barshan_extended, fit_pls_extended):
+            with pytest.raises(DegenerateDirectionError) as exc:
+                fit(data, k, 0.0)
+            errors.append((exc.value.iteration, str(exc.value)))
+        assert errors[0] == errors[1] == (1, "X^T y vanishes at iteration 1")
+
 
 class TestExtendedBarshan:
     def test_gamma_infinity_is_pca(self):

@@ -244,11 +244,13 @@ class TestSymEigTop1:
         stack = np.array(stack)
         values, vectors = sym_eig_top1(stack)
         assert values.shape == (b,) and vectors.shape == (b, p)
+        assert vectors.flags.c_contiguous  # PLS and PV multiply by its rows
         for s, value, vector in zip(stack, values, vectors):
             self._check_slice(s, value, vector)
         # the same matrices' leading blocks
         sizes = np.sort(rng.integers(1, p + 1, 5))
         values, vectors = sym_eig_top1(stack[0], sizes=sizes)
+        assert vectors.flags.c_contiguous
         for m, value, vector in zip(sizes, values, vectors):
             assert not vector[m:].any()
             self._check_slice(stack[0][:m, :m], value, vector[:m])

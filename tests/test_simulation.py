@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from sdr.data import Dataset
+from sdr.linalg import orthonormalize
 from sdr.methods import fit_method
 from sdr.simulation import (BenchConfig, SpectrumSpec, SweepConfig, TrialSpec,
-                            _centered_views, _haar, gamma_sweep,
+                            _centered_views, gamma_sweep,
                             generate_trial, report_to_csv, report_to_json,
                             report_to_table, run_benchmark, sweep_to_csv,
                             trial_seed)
@@ -34,7 +35,8 @@ class TestSpectrum:
 
 
 def _haar_seeded(p, seed):
-    return _haar(np.random.default_rng(seed), p)
+    # the trial's eigenbasis: the first draw of the trial's stream
+    return orthonormalize(np.random.default_rng(seed).standard_normal((p, p)))
 
 
 class TestRandomOrthogonal:
@@ -73,7 +75,7 @@ class TestGenerateTrial:
     def test_partial_random_columns_orthogonal_to_selected(self):
         spec = TrialSpec(SpectrumSpec("fast"), "partial", n_train=150, seed=2)
         trial = generate_trial(spec)
-        v = _haar(np.random.default_rng(2), 100)  # same stream as the trial
+        v = _haar_seeded(100, 2)  # same stream as the trial
         eig_cols = v[:, range(10, 20, 2)]
         rand_cols = trial.phi[:, 5:]
         assert np.abs(eig_cols.T @ rand_cols).max() <= 1e-10
@@ -84,7 +86,7 @@ class TestGenerateTrial:
         # regressing on the true top-10 eigenvector scores leaves only noise
         spec = TrialSpec(SpectrumSpec("fast"), "well", n_train=1500, seed=4)
         trial = generate_trial(spec)
-        v = _haar(np.random.default_rng(4), 100)
+        v = _haar_seeded(100, 4)
         z = trial.test.X @ v[:, :10]
         coef, *_ = np.linalg.lstsq(z, trial.test.y, rcond=None)
         resid = trial.test.y - z @ coef
@@ -96,7 +98,7 @@ class TestGenerateTrial:
                          seed=12)
         trial = generate_trial(spec)
         lam = spec.spectrum.eigenvalues()
-        v = _haar(np.random.default_rng(12), 100)
+        v = _haar_seeded(100, 12)
         sigma = (v * lam) @ v.T
         n = trial.train.X.shape[0]
         assert n == 100_000
