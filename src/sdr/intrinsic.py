@@ -60,7 +60,12 @@ def _rank1_completed_basis(w: np.ndarray, cov: np.ndarray, k: int) -> np.ndarray
         return u1
     p = cov.shape[0]
     proj = np.eye(p) - u1 @ u1.T
-    rest = sym_eig_topk(proj @ cov @ proj, k - 1).vectors
+    projected = proj @ cov @ proj
+    # the dense eigensolve reads the lower triangle; mirroring it keeps every
+    # eigenpair's bits and passes the symmetry check at any data scale
+    upper = np.triu_indices(p, 1)
+    projected[upper] = projected.T[upper]
+    rest = sym_eig_topk(projected, k - 1).vectors
     rest -= u1 @ (u1.T @ rest)  # tighten orthogonality to u1
     return np.hstack([u1, orthonormalize(rest)])
 
@@ -173,21 +178,28 @@ def fit_barshan_extended(data: Dataset, k: int, gamma: float) -> FittedReducer:
 # Least-squares PCA
 # ---------------------------------------------------------------------------
 
-#: An LSPCA descent starts at step size LSPCA_INITIAL_STEP, doubled after an
-#: accepted step and halved after a rejected one.  It stops converged once a
-#: step lowers the objective by less than LSPCA_TOL relative, or once the
-#: step falls below LSPCA_MIN_STEP (no descent direction at machine
-#: precision); it stops unconverged when its LSPCA_MAX_ITERS-th step is taken.
+#: An LSPCA fit stops converged once a step lowers the objective by less than
+#: LSPCA_TOL relative, and unconverged when its LSPCA_MAX_ITERS-th step is
+#: taken.  A first-order descent starts at step size LSPCA_INITIAL_STEP,
+#: doubled after an accepted step and halved after a rejected one, and also
+#: stops converged once the step falls below LSPCA_MIN_STEP (no descent
+#: direction at machine precision).
 LSPCA_MAX_ITERS = 500
 LSPCA_TOL = 1e-9
 LSPCA_INITIAL_STEP = 1.0
 LSPCA_MIN_STEP = 1e-20
-#: A K sweep steps its fits together in groups of consecutive Ks whose
-#: padded basis stack holds at most LSPCA_STACK_DOUBLES numbers (512 KiB).
-#: At small P, where a round costs numpy's per-call overhead, a whole sweep
-#: is one group (P = 11: 150 fits in a 20 x 10 stack); at large P, where the
-#: padding's arithmetic would cost more than the rounds it saves, and its
-#: memory would grow as P^3, the groups shrink and the larger Ks run alone.
+#: A K whose Grassmann manifold has dimension d = (P - K) K of at most
+#: LSPCA_NEWTON_DIM takes damped Newton steps on its dense d x d Hessian;
+#: a larger one takes the first-order descent, since the Hessian's cost
+#: grows as d^3 (P = 100, K = 15: d = 1,275).  On a P = 16 K sweep, whose
+#: largest d is 64, the Newton path was faster than the descent at every K.
+LSPCA_NEWTON_DIM = 64
+#: The first-order fits of a K sweep step together in groups of consecutive
+#: Ks whose padded basis stack holds at most LSPCA_STACK_DOUBLES numbers
+#: (512 KiB).  Where a round costs numpy's per-call overhead, a group saves
+#: rounds; at large P, where the padding's arithmetic would cost more than
+#: the rounds it saves, and its memory would grow as P^3, the groups shrink
+#: and the larger Ks run alone.
 LSPCA_STACK_DOUBLES = 1 << 16
 
 
@@ -203,9 +215,14 @@ class LspcaSolution:
 def fit_lspca(data: Dataset, k: int, gamma: float) -> tuple[FittedReducer, LspcaSolution]:
     """Minimize |y - X U beta|^2 + gamma |X - X U U^T|^2 over orthonormal U.
 
-    Alternates a closed-form beta with one projected-gradient step on U (QR
-    retraction), backtracking until the objective decreases; initialized at
-    the PCA basis.  gamma = inf short-circuits to PCA.  On whitened data the
+    beta is the least-squares coefficient of X U, so the objective depends
+    only on the span of U, a point of the Grassmann manifold of dimension
+    d = (P - K) K.  Where d <= LSPCA_NEWTON_DIM the fit takes damped
+    Riemannian Newton steps from two starts, the PCA basis and the rank-1
+    closed form, and keeps the one that ends lower.  Otherwise it alternates
+    the closed-form beta with one projected-gradient step on U (QR
+    retraction), backtracking until the objective decreases, from the PCA
+    basis.  gamma = inf short-circuits to PCA.  On whitened data the
     reconstruction term is constant on the manifold and the problem reduces
     to the covariance eigenproblem, which is solved in closed form with the
     shared deterministic completion.  At K = P every basis spans the whole
@@ -223,18 +240,24 @@ def fit_lspca_sweep(data: Dataset, ks, gammas
     ``fit_lspca`` describes it.
 
     Every fit that iterates starts at the first K columns of one PCA
-    eigensolve, and the fits run in lock-step: each round takes one trial
-    step for every unfinished (K, gamma) fit of a group as one stacked
-    evaluation, and each fit keeps its own step size, acceptance, iteration
-    count and stopping test.  A group is a run of consecutive Ks whose
-    stack stays within ``LSPCA_STACK_DOUBLES`` (one K's grid is never
-    split).  A K-column fit sits in its group's (P + Kmax - Kmin) x Kmax
-    stack: its column j >= K is the unit vector of its own extra coordinate
-    P + j - K, X^T X and X^T y are zero on the extra coordinates, and the
-    solve for beta sees identity on the padding diagonal of U^T C U.  In
-    exact arithmetic the padding is inert through beta, the objective, the
-    gradient and the QR retraction (in floating point the real block's sums
-    also run over the extra zeros); a group of one K has no padding.
+    eigensolve.  The fits of a K with (P - K) K <= ``LSPCA_NEWTON_DIM`` run
+    unpadded in one Newton lock-step loop (``newton`` below), each also from
+    the rank-1 closed form, and record the start they keep as hyperparam
+    ``start`` ("pca" or "closed_form").
+
+    The other fits take the first-order descent in lock-step: each round
+    takes one trial step for every unfinished (K, gamma) fit of a group as
+    one stacked evaluation, and each fit keeps its own step size,
+    acceptance, iteration count and stopping test.  A group is a run of
+    consecutive Ks whose stack stays within ``LSPCA_STACK_DOUBLES`` (one K's
+    grid is never split).  A K-column fit sits in its group's (P + Kmax -
+    Kmin) x Kmax stack: its column j >= K is the unit vector of its own
+    extra coordinate P + j - K, X^T X and X^T y are zero on the extra
+    coordinates, and the solve for beta sees identity on the padding
+    diagonal of U^T C U.  In exact arithmetic the padding is inert through
+    beta, the objective, the gradient and the QR retraction (in floating
+    point the real block's sums also run over the extra zeros); a group of
+    one K has no padding.
     """
     p = data.p
     ks = list(ks)
@@ -306,6 +329,128 @@ def fit_lspca_sweep(data: Dataset, ks, gammas
             else:
                 descend.setdefault(k, []).append(i)
 
+    def gradient(beta: np.ndarray, cu: np.ndarray, gam: np.ndarray,
+                 w: np.ndarray):
+        """The residual r = C U beta - w of each fit and the ambient
+        gradient 2 [r beta^T - gamma C U] of its objective in U."""
+        resid = (cu @ beta[..., None])[..., 0] - w
+        return resid, 2.0 * (resid[..., :, None] * beta[..., None, :]
+                             - gam[:, None, None] * cu)
+
+    def newton_parts(u, beta, cu, gam):
+        """For a stack of K-column fits: an orthonormal complement V of
+        each U; the Riemannian gradient g and Hessian H in the coordinates X
+        of the tangent vectors V X; the lowest eigenvalue of H and the
+        largest in size; and whether |g| <= 1e-9 |ambient gradient|."""
+        m, _, k = u.shape
+        v = np.linalg.qr(u, mode="complete")[0][..., k:]
+        vt = v.swapaxes(-1, -2)
+        resid, grad = gradient(beta, cu, gam, w)
+        g = (vt @ grad).reshape(m, -1)
+        # Hess[V X] = (I - U U^T) D grad[V X] - V X U^T grad, with D beta[V X]
+        # = -A^-1 M^T vec X and U^T grad = -2 gamma A (U^T r = 0 at the
+        # optimal beta), where A = U^T C U and M[(i, j), l] = (V^T C U)[i, l]
+        # beta[j] + (V^T r)[i] delta[j, l].  With vec X row by row, H = 2
+        # [V^T C V (x) (beta beta^T - gamma I) + gamma I (x) A - M A^-1 M^T],
+        # (x) the Kronecker product
+        eye = np.eye(k)
+        gram = u.swapaxes(-1, -2) @ cu
+        mmat = ((vt @ cu)[:, :, None, :] * beta[:, None, :, None]
+                + (vt @ resid[..., None])[..., None] * eye).reshape(m, -1, k)
+        hess = ((vt @ cov @ v)[:, :, None, :, None]
+                * (beta[:, :, None] * beta[:, None, :]
+                   - gam[:, None, None] * eye)[:, None, :, None, :]
+                + np.eye(p - k)[:, None, :, None]
+                * (gam[:, None, None] * gram)[:, None, :, None, :])
+        hess = 2.0 * (hess.reshape(m, g.shape[1], -1)
+                      - mmat @ _solve_stack(gram, mmat.swapaxes(-1, -2)))
+        lam = np.linalg.eigvalsh(hess)
+        flat = (np.linalg.norm(g, axis=-1)
+                <= 1e-9 * np.linalg.norm(grad, axis=(-2, -1)))
+        return v, g, hess, lam[:, 0], np.abs(lam[:, [0, -1]]).max(axis=-1), flat
+
+    def newton(k: int, grid: list, b: np.ndarray) -> None:
+        """Damped Riemannian Newton (Absil, Mahony & Sepulchre, Optimization
+        Algorithms on Matrix Manifolds, 2008) for the K-column fits at grid
+        indices ``grid``, from the PCA basis and from the closed form
+        ``_rank1_completed_basis(b, C, K)`` (not where b vanishes), all in
+        one lock-step loop.  A step is accepted only if the objective falls.
+        A fit stops converged once a step gains less than LSPCA_TOL
+        relative, once its Riemannian gradient is at most 1e-9 of the
+        ambient one, or once no damped step that the retraction can resolve
+        lowers the objective; it stops unconverged at LSPCA_MAX_ITERS steps.
+        Each (K, gamma) keeps the start that ends lower, the PCA start on a
+        tie."""
+        starts = {"pca": start[:, :k]}
+        if np.any(b):
+            starts["closed_form"] = _rank1_completed_basis(b, cov, k)
+        fits = [(name, i) for name in starts for i in grid]
+        u = np.stack([starts[name] for name, _ in fits])
+        gam = np.array([checked[i] for _, i in fits])
+        k_row = np.full(len(fits), k)
+        beta, f, cu = evaluate(u, gam, k_row, cov, w)
+        traces = [[value] for value in f.tolist()]
+        ends = [None] * len(fits)  # (basis, beta, converged, iterations)
+
+        # The running fits' state, one row per fit, as in descend_together,
+        # with each fit's damping mu in place of its step size.  Each round
+        # forms every running fit's Hessian (a fit whose last step was
+        # rejected forms the same one again) and takes one damped step.
+        slot = np.arange(len(fits))
+        mu = np.full(len(fits), 0.1)
+        n_iters = np.zeros(len(fits), dtype=int)
+        done = np.zeros(len(fits), dtype=bool)
+        while True:
+            v, g, hess, low, size, flat = newton_parts(u, beta, cu, gam)
+            converged = done | flat
+            stop = converged | (n_iters >= LSPCA_MAX_ITERS)
+            if stop.any():
+                for j, s in zip(np.flatnonzero(stop), slot[stop].tolist()):
+                    ends[s] = (u[j].copy(), beta[j].copy(), bool(converged[j]),
+                               int(n_iters[j]))
+                keep = ~stop
+                slot, gam, k_row, mu, n_iters, f, u, beta, cu, v, g, hess, low, size = (
+                    a[keep] for a in (slot, gam, k_row, mu, n_iters, f, u, beta,
+                                      cu, v, g, hess, low, size))
+                if not slot.size:
+                    break
+            # Levenberg-Marquardt: shift H's spectrum past its most negative
+            # eigenvalue by mu |H|.  mu stays at or above 1e-8, so that a
+            # step (at most |g| / (mu |H|) long) stays far from where the QR
+            # retraction would lose rank
+            shift = np.maximum(-low, 0.0) + mu * np.maximum(size, np.finfo(float).tiny)
+            x = -np.linalg.solve(hess + shift[:, None, None] * np.eye(g.shape[1]),
+                                 g[..., None])[..., 0]
+            u_new = orthonormalize(u + v @ x.reshape(len(slot), p - k, k))
+            beta_new, f_new, cu_new = evaluate(u_new, gam, k_row, cov, w)
+            took = f_new < f
+            rel = (f - f_new) / np.maximum(1.0, np.abs(f))
+            done = np.where(took, rel < LSPCA_TOL,
+                            ~(np.linalg.norm(x, axis=-1) > np.finfo(float).eps))
+            back = np.flatnonzero(~took)
+            if back.size:
+                for new, old in ((u_new, u), (beta_new, beta), (cu_new, cu)):
+                    new[back] = old[back]
+            u, beta, cu, f = u_new, beta_new, cu_new, np.where(took, f_new, f)
+            for s, value in compress(zip(slot.tolist(), f.tolist()), took.tolist()):
+                traces[s].append(value)
+            mu = np.maximum(mu * np.where(took, 0.1, 10.0), 1e-8)
+            n_iters += took
+        for i in grid:
+            s = min((s for s, (_, j) in enumerate(fits) if j == i),
+                    key=lambda s: traces[s][-1])
+            basis, beta_end, converged_end, iterations = ends[s]
+            record(k, i, basis, beta_end, traces[s], converged_end, iterations,
+                   start=fits[s][0])
+
+    # a K on a small Grassmann manifold takes Newton steps, unpadded
+    newton_ks = [k for k in descend if (p - k) * k <= LSPCA_NEWTON_DIM]
+    if newton_ks:
+        # the closed-form start's direction b = C^-1 w, at minimum norm
+        b = np.linalg.lstsq(cov, w, rcond=None)[0]
+        for k in newton_ks:
+            newton(k, descend.pop(k), b)
+
     def descend_together(fits: list) -> None:
         """Run the (K, grid index) fits of ``fits`` in one lock-step loop."""
         k_row = np.array([k for k, _ in fits])
@@ -330,10 +475,7 @@ def fit_lspca_sweep(data: Dataset, ks, gammas
         step = np.full(len(fits), LSPCA_INITIAL_STEP)
         n_iters = np.ones(len(fits), dtype=int)
         while slot.size:
-            # the ambient gradient of the objective in U
-            resid = (cu @ beta[..., None])[..., 0] - w_e
-            grad = 2.0 * (resid[..., :, None] * beta[..., None, :]
-                          - gam[:, None, None] * cu)
+            _, grad = gradient(beta, cu, gam, w_e)
             u_new = stiefel_step(u, grad, step)
             beta_new, f_new, cu_new = evaluate(u_new, gam, k_row, cov_e, w_e)
             took = f_new < f
@@ -375,23 +517,25 @@ def fit_lspca_sweep(data: Dataset, ks, gammas
 
 
 def _solve_stack(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve gram[i] @ x[i] = rhs[i] for stacks (m, k, k) and (m, k); a
-    singular slice falls back to least squares on its own.
+    """Solve gram[i] @ x[i] = rhs[i] for stacks (m, k, k) and (m, k), or
+    (m, k, r) for r right-hand sides each; a singular slice falls back to
+    least squares on its own.
 
-    The right-hand side goes in as (m, k, 1) because numpy 2.0 changed how
-    a ``b`` with ``b.ndim == a.ndim - 1`` is read.
+    A vector right-hand side goes in as (m, k, 1) because numpy 2.0 changed
+    how a ``b`` with ``b.ndim == a.ndim - 1`` is read.
     """
+    vector = rhs.ndim < gram.ndim
+    columns = rhs[..., None] if vector else rhs
     try:
-        return np.linalg.solve(gram, rhs[..., None])[..., 0]
+        out = np.linalg.solve(gram, columns)
     except np.linalg.LinAlgError:
-        pass
-    out = []
-    for g, r in zip(gram, rhs):
-        try:
-            out.append(np.linalg.solve(g, r))
-        except np.linalg.LinAlgError:
-            out.append(np.linalg.lstsq(g, r, rcond=None)[0])
-    return np.stack(out)
+        out = np.empty(columns.shape)
+        for g, r, x in zip(gram, columns, out):
+            try:
+                x[...] = np.linalg.solve(g, r)
+            except np.linalg.LinAlgError:
+                x[...] = np.linalg.lstsq(g, r, rcond=None)[0]
+    return out[..., 0] if vector else out
 
 
 # ---------------------------------------------------------------------------

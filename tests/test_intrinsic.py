@@ -148,6 +148,15 @@ class TestBarshan:
         expected = sym_eig_topk(proj @ data.X.T @ data.X @ proj, 2).vectors
         assert np.linalg.norm(_projector(basis[:, 1:]) - _projector(expected)) <= 1e-8
 
+    def test_completion_at_large_data_scale(self):
+        # X scaled by 1e8 puts the projected covariance at 1e16, where its
+        # rounding asymmetry exceeds the eigensolver's absolute symmetry check
+        data = _random_dataset(12)
+        scaled = Dataset(data.X * 1e8, data.y)
+        np.testing.assert_allclose(fit_barshan_extended(scaled, 3, 0.0).basis,
+                                   fit_barshan_extended(data, 3, 0.0).basis,
+                                   rtol=0, atol=1e-8)
+
     @pytest.mark.parametrize("k", [1, 3])
     def test_constant_response_fails_as_pls_does(self, k):
         # at gamma = 0 both take their first direction from X^T y, which a
@@ -243,7 +252,7 @@ class TestLSPCA:
         with pytest.raises(ValueError, match="positive"):
             fit_lspca(_random_dataset(18), 2, 0.0)
 
-    def test_max_iters_flagged(self, monkeypatch):
+    def test_max_iters_flagged(self, monkeypatch, first_order_lspca):
         monkeypatch.setattr(intrinsic, "LSPCA_MAX_ITERS", 2)
         data = _random_dataset(19)
         reducer, sol = fit_lspca(data, 2, 1e-3)

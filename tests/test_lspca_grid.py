@@ -5,7 +5,9 @@ reference: a closed-form beta, one projected-gradient QR-retraction step on
 U, backtracking until the objective decreases.  Every fit of the grid must
 take the same iterations and stop the same way as this loop.  The joint fit
 over a K range (``fit_lspca_sweep``) must in turn match the grid fit at each
-K alone, up to the rounding of its padded stack.
+K alone, up to the rounding of its padded stack.  These first-order tests run
+every K through the descent (``first_order_lspca``), since at these P the
+sweep otherwise takes Newton steps; the Newton path's own tests follow them.
 """
 
 import math
@@ -13,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from sdr import intrinsic
+from sdr import intrinsic, oracles
 from sdr.data import Dataset, center_dataset, fit_centering
 from sdr.intrinsic import (_is_isotropic, _rank1_completed_basis, _solve_stack,
                            fit_lspca, fit_lspca_sweep)
@@ -138,6 +140,7 @@ def _random_dataset(seed, n=60, p=12, noise=0.5):
     return Dataset(x - x.mean(axis=0), y - y.mean())
 
 
+@pytest.mark.usefixtures("first_order_lspca")
 class TestLockStepMatchesSequential:
     def test_p100_fast_misaligned_trial(self):
         spec = TrialSpec(SpectrumSpec("fast"), "mis", 150, seed=3)
@@ -249,6 +252,7 @@ def _assert_joint_matches_per_k(data, ks, gammas):
     return joint
 
 
+@pytest.mark.usefixtures("first_order_lspca")
 class TestJointSweepMatchesPerK:
     def test_wine_shaped_fit_split_every_k(self):
         # K = P = 11 and gamma = inf are closed forms; K = 1..10 descend
@@ -364,3 +368,168 @@ def test_singular_gram_slice_falls_back_to_least_squares():
     np.testing.assert_allclose(beta[1],
                                np.linalg.lstsq(gram[1], rhs[1], rcond=None)[0],
                                rtol=1e-12)
+    # two right-hand sides per slice, as the Newton Hessian solves them
+    rhs = rng.standard_normal((3, 4, 2))
+    x = _solve_stack(gram, rhs)
+    assert x.shape == rhs.shape
+    for i in (0, 2):
+        np.testing.assert_allclose(x[i], np.linalg.solve(gram[i], rhs[i]),
+                                   rtol=1e-12)
+    np.testing.assert_allclose(x[1],
+                               np.linalg.lstsq(gram[1], rhs[1], rcond=None)[0],
+                               rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The Newton path: every K whose Grassmann manifold has dimension
+# (P - K) K <= LSPCA_NEWTON_DIM (every K at P = 11 and 12)
+# ---------------------------------------------------------------------------
+
+def _objective(data, u, gamma):
+    """The LSPCA objective at basis u, from the split's moments."""
+    cov, w, yy, _ = data.moments
+    gram = u.T @ cov @ u
+    beta = np.linalg.lstsq(gram, u.T @ w, rcond=None)[0]
+    return (yy - 2.0 * float(beta @ (u.T @ w)) + float(beta @ gram @ beta)
+            + gamma * (float(np.trace(cov)) - float(np.trace(gram))))
+
+
+def _starts(data, k):
+    """The PCA start and the closed-form start at b = C^-1 w."""
+    cov, w, _, _ = data.moments
+    b = np.linalg.lstsq(cov, w, rcond=None)[0]
+    return sym_eig_topk(cov, k).vectors, _rank1_completed_basis(b, cov, k)
+
+
+def _duplicated_column(seed=22):
+    data = _random_dataset(seed, p=6)
+    return Dataset(np.column_stack([data.X, data.X[:, 0]]), data.y)
+
+
+def _wide(seed=23, n=8, p=11):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    y = x @ rng.standard_normal(p) + 0.1 * rng.standard_normal(n)
+    return Dataset(x - x.mean(axis=0), y - y.mean())
+
+
+@pytest.fixture(scope="module", params=["wine", "random20", "random21"])
+def newton_split(request):
+    if request.param == "wine":
+        return _wine_shaped_fit_split()
+    return _random_dataset(int(request.param[-2:]))
+
+
+class TestNewton:
+    def test_dispatch_is_on_the_grassmann_dimension(self):
+        assert intrinsic.LSPCA_NEWTON_DIM >= 30  # every K at P = 11
+        data = _random_dataset(24, p=16)  # d = 15 K = 1 and 63 at K = 7
+        sweep = fit_lspca_sweep(data, [1, 7, 8], [1.0])
+        assert {k: "start" in sweep[k][0][0].hyperparams for k in sweep} == {
+            1: True, 7: (16 - 7) * 7 <= intrinsic.LSPCA_NEWTON_DIM,
+            8: (16 - 8) * 8 <= intrinsic.LSPCA_NEWTON_DIM}
+
+    def test_every_fit_converges_below_both_starts(self, newton_split):
+        data = newton_split
+        p = data.p
+        gammas = [g for g in TUNING_GAMMAS if g < math.inf]
+        sweep = fit_lspca_sweep(data, range(1, p), gammas)
+        for k in range(1, p):
+            starts = _starts(data, k)
+            for gamma, (reducer, sol) in zip(gammas, sweep[k]):
+                where = f"K={k}, gamma={gamma!r}"
+                assert sol.converged and reducer.hyperparams["converged"], where
+                assert list(reducer.hyperparams) == [
+                    "gamma", "converged", "iterations", "start"], where
+                assert reducer.hyperparams["start"] in ("pca", "closed_form")
+                assert reducer.hyperparams["iterations"] == sol.n_iters
+                # Newton's rate: the first-order descent takes hundreds here
+                assert sol.n_iters <= 25, where
+                trace = np.asarray(sol.objective_trace)
+                assert len(trace) == sol.n_iters + 1, where
+                assert np.all(np.diff(trace) < 0), where
+                for basis in starts:
+                    f0 = _objective(data, basis, gamma)
+                    assert trace[-1] <= f0 + 1e-12 * max(1.0, abs(f0)), where
+                np.testing.assert_allclose(sol.basis.T @ sol.basis, np.eye(k),
+                                           rtol=0, atol=1e-12, err_msg=where)
+
+    def test_sweep_fit_is_the_one_k_fit_bit_for_bit(self, newton_split):
+        data = newton_split
+        ks = list(range(1, data.p + 1))
+        joint = fit_lspca_sweep(data, ks, TUNING_GAMMAS)
+        for k in ks:
+            for (reducer, sol), (want_reducer, want) in zip(
+                    joint[k], fit_lspca_sweep(data, [k], TUNING_GAMMAS)[k]):
+                assert reducer.basis.tobytes() == want_reducer.basis.tobytes()
+                assert reducer.basis.flags.c_contiguous
+                assert sol.beta.tobytes() == want.beta.tobytes()
+                assert sol.objective_trace == want.objective_trace
+                assert reducer.hyperparams == want_reducer.hyperparams
+
+    def test_iteration_cap_flags_unconverged(self, monkeypatch):
+        monkeypatch.setattr(intrinsic, "LSPCA_MAX_ITERS", 2)
+        sweep = fit_lspca_sweep(_wine_shaped_fit_split(), range(1, 11),
+                                TUNING_GAMMAS)
+        fits = [fit for k in sweep for fit in sweep[k]]
+        capped = [(r, sol) for r, sol in fits if not sol.converged]
+        assert capped and len(capped) < len(fits)
+        assert all(sol.n_iters <= 2 for _, sol in fits)
+        for reducer, sol in capped:
+            assert sol.n_iters == 2 and reducer.hyperparams["converged"] is False
+
+    @pytest.mark.parametrize("data", [
+        _duplicated_column(), _wide(),
+        # the closed-form start's projected covariance at scale 1e16
+        Dataset(_random_dataset(25, p=5).X * 1e8, _random_dataset(25, p=5).y)],
+        ids=["duplicated_column", "p_above_n", "scaled_1e8"])
+    def test_degenerate_splits_stay_finite(self, data):
+        sweep = fit_lspca_sweep(data, range(1, data.p + 1), TUNING_GAMMAS)
+        for k in sweep:
+            for reducer, sol in sweep[k]:
+                assert np.all(np.isfinite(sol.basis)), k
+                assert np.all(np.isfinite(sol.beta)), k
+                assert np.all(np.isfinite(sol.objective_trace)), k
+                np.testing.assert_allclose(sol.basis.T @ sol.basis, np.eye(k),
+                                           rtol=0, atol=1e-10)
+                assert sol.converged, k
+
+    def test_a_stationary_start_takes_no_step(self):
+        """y along the top principal direction: the PCA start (and the
+        closed form, the same subspace) is the optimum at every gamma, and
+        the gradient test stops it there."""
+        data = _random_dataset(26)
+        u1 = sym_eig_topk(data.moments.xx, 1).vectors[:, 0]
+        data = Dataset(data.X, 2.0 * data.X @ u1)
+        for k in (1, 2, 3):
+            for reducer, sol in fit_lspca_sweep(data, [k], TUNING_GAMMAS)[k]:
+                assert sol.n_iters == 0 and sol.converged
+                assert reducer.hyperparams["iterations"] == 0
+
+    def test_start_near_its_optimum(self):
+        """At gamma = 1e8 and K = 1 the PCA start is within 2e-8 (relative
+        tangent gradient) of its optimum, a real pull of the supervised
+        term.  Either it stops there, or the kept fit ends strictly lower;
+        the sweep's fit is the one-K fit bit for bit."""
+        data = _random_dataset(9)
+        (reducer, sol), = fit_lspca_sweep(data, [1], [1e8])[1]
+        if reducer.hyperparams["start"] == "pca":
+            assert sol.n_iters == 0
+        else:
+            pca, _ = _starts(data, 1)
+            assert sol.objective_trace[-1] < _objective(data, pca, 1e8)
+        (joint, joint_sol), = fit_lspca_sweep(data, [1, 4], [1e8])[1]
+        assert joint.basis.tobytes() == reducer.basis.tobytes()
+        assert joint_sol.objective_trace == sol.objective_trace
+
+
+class TestSphereGridOracle:
+    def test_passes(self):
+        result = oracles._oracle_lspca_sphere_grid()
+        assert result.ok, result.detail
+
+    def test_first_order_descent_fails_it(self, first_order_lspca):
+        # its fits stop at local minima from the PCA start
+        result = oracles._oracle_lspca_sphere_grid()
+        assert not result.ok
+        assert "13 of 27 cases" in result.detail

@@ -3,11 +3,12 @@
 ``_per_k_run_real_data`` writes the sweep out as it was before each method
 was fitted by one registry call over the K range: every (K, method) point a
 fresh ``fit_method`` call.  The sweep's reports must be byte-identical to it
-for every method but LSPCA, whose joint descent rounds its sums over padding
-zeros (its choices and iterations are equal and its MSEs agree within 1e-12
-relative).  ``FittedReducer.prefix`` of a prefix method's largest fit must
-equal a fresh fit at every smaller K, bit for bit, and every registry fit
-over a K range must equal its fit at each K alone.
+for every method but LSPCA, whose joint first-order descent rounds its sums
+over padding zeros (its choices and iterations are equal and its MSEs agree
+within 1e-12 relative); the tests that pin that descent run it at every K
+(``first_order_lspca``).  ``FittedReducer.prefix`` of a prefix method's
+largest fit must equal a fresh fit at every smaller K, bit for bit, and
+every registry fit over a K range must equal its fit at each K alone.
 """
 
 import importlib.util
@@ -105,6 +106,7 @@ def _config(path, **kw):
 # The sweep against the per-K loop
 # ---------------------------------------------------------------------------
 
+@pytest.mark.usefixtures("first_order_lspca")
 class TestSweepOracle:
     def _assert_same_reports(self, config):
         got = run_real_data(config)
@@ -220,6 +222,7 @@ def _projector(basis):
 
 
 @pytest.mark.parametrize("name", METHODS)
+@pytest.mark.usefixtures("first_order_lspca")
 def test_joint_fit_equals_one_k_fit(name, split):
     """``fit(data, ks, gammas)[k]`` is ``fit(data, [k], gammas)[k]``: bit for
     bit for every entry but LSPCA, whose joint descent adds padding zeros to
@@ -330,7 +333,8 @@ class TestFitSweep:
         data = _p100_trial()
         assert fit_sweep("pca", data, data, []) == {}
 
-    def test_a_failing_joint_fit_is_every_ks_error(self, monkeypatch):
+    def test_a_failing_joint_fit_is_every_ks_error(self, monkeypatch,
+                                                   first_order_lspca):
         """A Stiefel step that fails on stacks of three or more columns
         breaks LSPCA's joint fit over K = 1..4; the sweep's one registry
         call raises, and its error is every K's."""
