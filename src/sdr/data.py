@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -298,26 +299,60 @@ def load_csv(path, response: str, delimiter: str = ",",
         if not feat_cols:
             raise IngestError(f"no feature column left; dropped: {list(drop)}")
         cells = feat_cols + [(header.index(response), response)]
-        xs, ys = [], []
-        for row_no, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise IngestError(f"row {row_no}: expected {len(header)} fields, "
-                                  f"got {len(row)}", row=row_no)
-            vals = []  # the features, then the response
-            for i, name in cells:
-                try:
-                    vals.append(float(row[i]))
-                    bad = None if math.isfinite(vals[-1]) else "non-finite"
-                except ValueError:
-                    bad = "non-numeric"
-                if bad:
-                    raise IngestError(f"{bad} cell at row {row_no}, column {name!r}: "
-                                      f"{row[i]!r}", row=row_no, column=name)
-            xs.append(vals[:-1])
-            ys.append(vals[-1])
-        if not xs:
-            raise IngestError("no data rows")
+        values = _bulk_values(reader, len(header), [i for i, _ in cells])
+        if values is None:
+            # read again cell by cell, to name the first bad row or cell
+            fh.seek(0)
+            reader = csv.reader(fh, delimiter=delimiter)
+            next(reader)
+            values = np.array([_row_values(row_no, row, len(header), cells)
+                               for row_no, row in enumerate(reader, start=1)
+                               if any(map(str.strip, row))])
+    if len(values) == 0:
+        raise IngestError("no data rows")
     names = [name for _, name in feat_cols]
-    return Dataset(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)), names
+    return Dataset(np.ascontiguousarray(values[:, :-1]), values[:, -1].copy()), names
+
+
+def _bulk_values(reader, width: int, columns: list):
+    """The ``columns`` cells of every non-blank row of ``reader`` as floats,
+    or None at a row of the wrong width, a cell that is not a finite number
+    or any other ValueError (a decode error among them), for the
+    cell-by-cell read to report in row order.  Rows are parsed 1024 at a
+    time, so the file's text is never held whole."""
+    pick = operator.itemgetter(*columns)
+    blocks, rows = [], []
+    try:
+        for row in reader:
+            if not any(map(str.strip, row)):  # a blank row
+                continue
+            if len(row) != width:
+                return None
+            rows.append(pick(row))
+            if len(rows) == 1024:
+                blocks.append(np.array(rows, dtype=float))
+                rows = []
+        blocks.append(np.array(rows, dtype=float).reshape(-1, len(columns)))
+    except ValueError:
+        return None
+    values = np.concatenate(blocks)
+    return values if np.all(np.isfinite(values)) else None
+
+
+def _row_values(row_no: int, row: list, width: int, cells) -> list:
+    """The floats of a data row's ``cells``, or IngestError at a row of the
+    wrong width or a non-numeric or non-finite cell."""
+    if len(row) != width:
+        raise IngestError(f"row {row_no}: expected {width} fields, "
+                          f"got {len(row)}", row=row_no)
+    vals = []
+    for i, name in cells:
+        try:
+            vals.append(float(row[i]))
+            bad = None if math.isfinite(vals[-1]) else "non-finite"
+        except ValueError:
+            bad = "non-numeric"
+        if bad:
+            raise IngestError(f"{bad} cell at row {row_no}, column {name!r}: "
+                              f"{row[i]!r}", row=row_no, column=name)
+    return vals

@@ -19,7 +19,7 @@ from .data import Dataset, FittedReducer, json_safe, reduce
 from .intrinsic import (fit_barshan_extended, fit_lspca_sweep, fit_pls_grid,
                         fit_sppca)
 from .linalg import DegenerateDirectionError
-from .regression import RegressionModel, mse, ols_fit
+from .regression import RegressionModel, mse, ols_fit, select_candidate
 from .wrappers import fit_bair, fit_pcps, fit_pv
 
 #: Validation grid for the balance hyperparameter.
@@ -202,23 +202,26 @@ def _choose(name: str, gammas: list, outcome, train: Dataset,
             val: Dataset | None) -> MethodFit:
     """The fit of ``unwrap(outcome)``: the one reducer of a method without
     gamma, else the one with the lowest finite validation MSE, the earliest
-    grid point among those tied within ``TIE_RTOL``."""
+    grid point among those tied within ``TIE_RTOL``.  Only the gammas that
+    the moment screen of ``select_candidate`` keeps are fitted and scored
+    on the rows."""
     reducers = unwrap(outcome)
     if gammas == [None]:
         return with_model(reducers[0], train)
-    scored = []
-    for gamma, reducer in zip(gammas, reducers):
-        fit = with_model(reducer, train)
-        val_mse = fit.evaluate(val)
-        if math.isfinite(val_mse):
-            scored.append((val_mse, gamma, fit))
-    if not scored:
+    fits = {}
+
+    def val_mse(i: int) -> float:
+        fits[i] = with_model(reducers[i], train)
+        return fits[i].evaluate(val)
+
+    chosen = select_candidate(np.stack([r.basis for r in reducers]),
+                              train.moments, val.moments, val_mse, TIE_RTOL)
+    if chosen is None:
         raise ValueError(f"{name}: no gamma in the grid gives a finite "
                          "validation MSE")
-    cutoff = min(s[0] for s in scored) * (1.0 + TIE_RTOL)
-    val_mse, gamma, fit = next(s for s in scored if s[0] <= cutoff)
-    fit.hyperparams.update({"gamma": gamma, "val_mse": val_mse})
-    return fit
+    i, score = chosen
+    fits[i].hyperparams.update({"gamma": gammas[i], "val_mse": score})
+    return fits[i]
 
 
 def fit_method(name: str, train: Dataset, val: Dataset | None, k: int, *,

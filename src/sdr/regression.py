@@ -1,5 +1,7 @@
-"""Downstream least-squares predictor and MSE evaluation."""
+"""Downstream least-squares predictor, MSE evaluation, and the choice among
+candidate bases by that MSE."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,3 +43,59 @@ def mse(predictions: np.ndarray, truth: np.ndarray) -> float:
         raise ValueError(f"incompatible shapes {predictions.shape} and {truth.shape}")
     diff = predictions - truth
     return float(diff @ diff / len(truth))
+
+
+def moment_mse(bases: np.ndarray, fit, score) -> tuple[np.ndarray, np.ndarray]:
+    """Moment-form MSE of each candidate basis and a bound on its distance
+    from the N-row score, without touching a row.
+
+    ``bases`` is a (g, P, K) stack of orthonormal bases U; ``fit`` and
+    ``score`` are the ``Moments`` of the split the least-squares model is
+    fitted on and of the split it is scored on.  With C, w the fit split's
+    X^T X, X^T y and G, b the scoring split's U^T X^T X U, U^T X^T y, the
+    coefficients are c = A^-1 U^T w for A = U^T C U and the MSE is
+    m = (y^T y - 2 c^T b + c^T G c) / n.
+
+    ``mse(ols_fit(X U, y).predict(X_s U), y_s)`` differs from m by rounding,
+    which delta = 1e3 eps T (1 + tr(C) / lambda_min(A)) bounds, with
+    T = (y^T y + 2 |c^T b| + c^T G c) / n: T covers cancellation in m, and
+    tr(C) / lambda_min(A) the conditioning of Z = X U and of forming it.
+    delta is inf where A is not positive definite.
+    """
+    u = np.asarray(bases, dtype=float)
+    ut = np.swapaxes(u, 1, 2)
+    with np.errstate(all="ignore"):
+        lam, vec = np.linalg.eigh(ut @ fit.xx @ u)
+        r = np.swapaxes(vec, 1, 2) @ (ut @ fit.xy)[..., None]
+        c = (vec @ (r / lam[..., None]))[..., 0]
+        cb = np.einsum("gk,gk->g", c, ut @ score.xy)
+        cgc = np.einsum("gk,gkl,gl->g", c, ut @ score.xx @ u, c)
+        m = (score.yy - 2.0 * cb + cgc) / score.n
+        t = (score.yy + 2.0 * np.abs(cb) + cgc) / score.n
+        delta = 1e3 * np.finfo(float).eps * t * (1.0 + np.trace(fit.xx) / lam[:, 0])
+    return m, np.where(lam[:, 0] > 0, delta, np.inf)
+
+
+def select_candidate(bases: np.ndarray, fit, score, exact, rtol: float):
+    """``(i, exact(i))`` for the earliest candidate whose N-row score
+    ``exact(i)`` is finite and within ``rtol`` of the lowest finite one, or
+    None if no score is finite.
+
+    Only candidates whose ``moment_mse`` interval could reach the rule's
+    cutoff are scored: i is dropped when m_i - delta_i > min(m + delta) *
+    (1 + rtol), for its score then exceeds the cutoff.  Every candidate is
+    scored, as without the screen, when a moment score or bound is not
+    finite or no kept candidate's score is.
+    """
+    m, delta = moment_mse(bases, fit, score)
+    keep = range(len(m))
+    if np.all(np.isfinite(m) & np.isfinite(delta)):
+        keep = np.flatnonzero(m - delta <= np.min(m + delta) * (1.0 + rtol))
+    scored = [(s, i) for i in keep if math.isfinite(s := exact(i))]
+    if not scored:
+        scored = [(s, i) for i in sorted(set(range(len(m))) - set(keep))
+                  if math.isfinite(s := exact(i))]
+    if not scored:
+        return None
+    cutoff = min(s for s, _ in scored) * (1.0 + rtol)
+    return next((int(i), s) for s, i in scored if s <= cutoff)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import Dataset, FittedReducer
 from .linalg import DegenerateDirectionError, sym_eig_top1, sym_eig_topk
-from .regression import mse, ols_fit
+from .regression import mse, ols_fit, select_candidate
 
 
 def _pearson_pair(z: np.ndarray, y: np.ndarray) -> float:
@@ -45,7 +45,8 @@ def fit_bair(data: Dataset, k: int) -> FittedReducer:
 
     Scans M = K..P top-scoring variables, runs K-component PCA on each column
     submatrix, and keeps the M whose downstream OLS model has the lowest
-    training MSE (ties go to smaller M).  The basis is embedded back into P
+    training MSE (ties go to smaller M); ``select_candidate`` fits only the
+    Ms its moment screen keeps.  The basis is embedded back into P
     dimensions, zero outside the selection, so reduce() stays a plain
     projection.
     """
@@ -55,22 +56,21 @@ def fit_bair(data: Dataset, k: int) -> FittedReducer:
         raise ValueError(f"K={k} exceeds P={p}")
     _, order = score_variables(x, y)
     cov = data.moments.xx  # submatrices are slices of the full covariance
-    best_mse = np.inf
-    best_m = None
-    best_basis = None
-    for m in range(k, p + 1):
+    bases = np.zeros((p - k + 1, p, k))  # M = K..P
+    for i, m in enumerate(range(k, p + 1)):
         idx = order[:m]
-        pairs = sym_eig_topk(cov[np.ix_(idx, idx)], k)
-        basis = np.zeros((p, k))
-        basis[idx] = pairs.vectors
-        z = x @ basis
-        candidate_mse = mse(ols_fit(z, y).predict(z), y)
-        if candidate_mse < best_mse:
-            best_mse = candidate_mse
-            best_m = m
-            best_basis = basis
-    return FittedReducer("bair", k, basis=best_basis,
-                         hyperparams={"m": best_m, "score": "pearson",
+        bases[i, idx] = sym_eig_topk(cov[np.ix_(idx, idx)], k).vectors
+
+    def train_mse(i: int) -> float:
+        z = x @ bases[i]
+        return mse(ols_fit(z, y).predict(z), y)
+
+    chosen = select_candidate(bases, data.moments, data.moments, train_mse, 0.0)
+    if chosen is None:
+        raise ValueError(f"K={k}: no M gives a finite training MSE")
+    i, best_mse = chosen
+    return FittedReducer("bair", k, basis=bases[i].copy(),
+                         hyperparams={"m": k + i, "score": "pearson",
                                       "selection_mse": best_mse})
 
 

@@ -285,3 +285,50 @@ class TestLoadCsv:
         data, names = load_csv(path, "y", drop=("id",))
         assert names == ["a"]
         np.testing.assert_array_equal(data.X[:, 0], [2, 5])
+
+    @pytest.mark.parametrize("cell", ["١٢", "1_0", "+.5", "infinity", "1e-400",
+                                      "\xa01.5", "0x10", "1__0", " -0 "])
+    def test_cells_read_as_float_reads_them(self, tmp_path, cell):
+        path = self._write(tmp_path, f"a,y\n{cell},1\n2,3\n")
+        try:
+            want = float(cell)
+        except ValueError:
+            with pytest.raises(IngestError, match="non-numeric cell") as exc:
+                load_csv(path, "y")
+            assert (exc.value.row, exc.value.column) == (1, "a")
+            return
+        if not math.isfinite(want):
+            with pytest.raises(IngestError, match="non-finite cell"):
+                load_csv(path, "y")
+            return
+        data, _ = load_csv(path, "y")
+        assert data.X[0, 0].hex() == want.hex()
+
+    def test_values_bit_equal_to_float(self, tmp_path):
+        rng = np.random.default_rng(0)
+        vals = rng.standard_normal((50, 4)) * np.logspace(-300, 300, 4)
+        fmts = ["{!r}", "{:.17g}", " {:+.3e} ", "{:.5f}"]
+        lines = ["id,a,y,b,c"]
+        for i, row in enumerate(vals):
+            cells = [f.format(float(v)) for f, v in zip(fmts, row)]
+            lines.append(",".join([f"r{i}", cells[0], cells[1], cells[2], cells[3]]))
+            if i == 10:
+                lines.append(" , ,,,")  # blank row, skipped
+        path = self._write(tmp_path, "\n".join(lines) + "\n")
+        data, names = load_csv(path, "y", drop=("id",))
+        cells = [line.split(",")[1:] for line in lines[1:] if line.strip(" ,")]
+        want = np.array([[float(c) for c in row] for row in cells])
+        assert names == ["a", "b", "c"]
+        assert data.X.tobytes() == np.ascontiguousarray(want[:, [0, 2, 3]]).tobytes()
+        assert data.y.tobytes() == want[:, 1].tobytes()
+        assert data.X.flags.c_contiguous and data.y.flags.c_contiguous
+
+    @pytest.mark.parametrize("text, row, column", [
+        ("a,b,y\n1,oops,3\n4,5\n", 1, "b"),   # the bad cell comes first
+        ("a,b,y\n1,2\n4,oops,6\n", 1, None),  # the short row comes first
+        ("\ufeffa,b,y\n1,2,3\n\n4,5,inf\n", 3, "y"),  # a BOM, a blank row
+    ])
+    def test_first_bad_row_is_named(self, tmp_path, text, row, column):
+        with pytest.raises(IngestError) as exc:
+            load_csv(self._write(tmp_path, text), "y")
+        assert (exc.value.row, exc.value.column) == (row, column)
