@@ -191,16 +191,10 @@ LSPCA_MIN_STEP = 1e-20
 #: A K whose Grassmann manifold has dimension d = (P - K) K of at most
 #: LSPCA_NEWTON_DIM takes damped Newton steps on its dense d x d Hessian;
 #: a larger one takes the first-order descent, since the Hessian's cost
-#: grows as d^3 (P = 100, K = 15: d = 1,275).  On a P = 16 K sweep, whose
-#: largest d is 64, the Newton path was faster than the descent at every K.
-LSPCA_NEWTON_DIM = 64
-#: The first-order fits of a K sweep step together in groups of consecutive
-#: Ks whose padded basis stack holds at most LSPCA_STACK_DOUBLES numbers
-#: (512 KiB).  Where a round costs numpy's per-call overhead, a group saves
-#: rounds; at large P, where the padding's arithmetic would cost more than
-#: the rounds it saves, and its memory would grow as P^3, the groups shrink
-#: and the larger Ks run alone.
-LSPCA_STACK_DOUBLES = 1 << 16
+#: grows as d^3 (P = 100, K = 15: d = 1,275).  The cap puts every K of a
+#: P <= 20 sweep (largest d: 100) on the Newton path, which was faster
+#: there than the descent.
+LSPCA_NEWTON_DIM = 100
 
 
 @dataclass
@@ -240,24 +234,15 @@ def fit_lspca_sweep(data: Dataset, ks, gammas
     ``fit_lspca`` describes it.
 
     Every fit that iterates starts at the first K columns of one PCA
-    eigensolve.  The fits of a K with (P - K) K <= ``LSPCA_NEWTON_DIM`` run
-    unpadded in one Newton lock-step loop (``newton`` below), each also from
-    the rank-1 closed form, and record the start they keep as hyperparam
-    ``start`` ("pca" or "closed_form").
-
-    The other fits take the first-order descent in lock-step: each round
-    takes one trial step for every unfinished (K, gamma) fit of a group as
-    one stacked evaluation, and each fit keeps its own step size,
-    acceptance, iteration count and stopping test.  A group is a run of
-    consecutive Ks whose stack stays within ``LSPCA_STACK_DOUBLES`` (one K's
-    grid is never split).  A K-column fit sits in its group's (P + Kmax -
-    Kmin) x Kmax stack: its column j >= K is the unit vector of its own
-    extra coordinate P + j - K, X^T X and X^T y are zero on the extra
-    coordinates, and the solve for beta sees identity on the padding
-    diagonal of U^T C U.  In exact arithmetic the padding is inert through
-    beta, the objective, the gradient and the QR retraction (in floating
-    point the real block's sums also run over the extra zeros); a group of
-    one K has no padding.
+    eigensolve, and the iterating fits of each K run in one lock-step loop
+    over its grid: each round takes one trial step for every unfinished
+    fit as one stacked (fits, P, K) evaluation, and each fit keeps its own
+    step size or damping, acceptance, iteration count and stopping test.
+    So a fit inside a sweep is the one-K fit bit for bit.  A K with (P - K)
+    K <= ``LSPCA_NEWTON_DIM`` takes Newton steps (``newton`` below), each
+    fit also from the rank-1 closed form, and records the start it keeps as
+    hyperparam ``start`` ("pca" or "closed_form"); the other Ks take the
+    first-order descent (``descend``).
     """
     p = data.p
     ks = list(ks)
@@ -273,19 +258,13 @@ def fit_lspca_sweep(data: Dataset, ks, gammas
     if not (checked and results):
         return results
 
-    def evaluate(u: np.ndarray, gam: np.ndarray, k_row: np.ndarray,
-                 cov: np.ndarray, w: np.ndarray):
-        """beta, objective and cov @ U for a stack of bases (m, q, width)
-        under the moments (cov, w) of a q-space, row i a K = k_row[i] fit
-        whose columns from K on are padding."""
+    def evaluate(u: np.ndarray, gam: np.ndarray):
+        """beta, objective and cov @ U for a stack of bases (m, P, K)."""
         cu = cov @ u
         ut = u.swapaxes(-1, -2)
         gram = ut @ cu
         utw = ut @ w
-        width = u.shape[-1]
-        padded = np.arange(width) >= k_row[:, None]  # each row's padding columns
-        beta = _solve_stack(gram + np.eye(width) * padded[:, None, :]
-                            if padded.any() else gram, utw)
+        beta = _solve_stack(gram, utw)
         supervised = (yy - 2.0 * (beta * utw).sum(axis=-1)
                       + (beta * (gram @ beta[..., None])[..., 0]).sum(axis=-1))
         reconstruction = tr_cov - gram.trace(axis1=-2, axis2=-1)
@@ -301,8 +280,7 @@ def fit_lspca_sweep(data: Dataset, ks, gammas
 
     def closed_form(k: int, i: int, basis: np.ndarray, objective_gamma: float,
                     **flags):
-        beta, f, _ = evaluate(basis[None], np.array([objective_gamma]),
-                              np.array([k]), cov, w)
+        beta, f, _ = evaluate(basis[None], np.array([objective_gamma]))
         record(k, i, basis, beta[0], [float(f[0])], True, 0, **flags)
 
     # X^T X = c I makes the reconstruction term constant over the manifold;
@@ -311,7 +289,7 @@ def fit_lspca_sweep(data: Dataset, ks, gammas
     # method exactly.
     isotropic = _is_isotropic(cov) and np.linalg.norm(w) > 0
     start = sym_eig_topk(cov, max(results)).vectors
-    descend: dict[int, list] = {}  # K -> the grid indices that iterate
+    grids: dict[int, list] = {}  # K -> the grid indices that iterate
     for k in results:
         pca = start[:, :k].copy(order="K")
         completed = None
@@ -327,15 +305,54 @@ def fit_lspca_sweep(data: Dataset, ks, gammas
                 # every basis spans the whole space: the objective is constant
                 closed_form(k, i, pca, gamma)
             else:
-                descend.setdefault(k, []).append(i)
+                grids.setdefault(k, []).append(i)
 
-    def gradient(beta: np.ndarray, cu: np.ndarray, gam: np.ndarray,
-                 w: np.ndarray):
+    def gradient(beta: np.ndarray, cu: np.ndarray, gam: np.ndarray):
         """The residual r = C U beta - w of each fit and the ambient
         gradient 2 [r beta^T - gamma C U] of its objective in U."""
         resid = (cu @ beta[..., None])[..., 0] - w
         return resid, 2.0 * (resid[..., :, None] * beta[..., None, :]
                              - gam[:, None, None] * cu)
+
+    def descend(k: int, grid: list) -> None:
+        """The first-order descent for the K-column fits at grid indices
+        ``grid``, all from the PCA basis in one lock-step loop."""
+        # The running fits' state, one row per fit: its grid index, gamma,
+        # step size, objective, the iteration of the next step, and the
+        # basis, beta and cov @ U stacks.  One keep mask drops the rows of
+        # the fits that stop.
+        u = np.repeat(start[None, :, :k], len(grid), axis=0)
+        slot = np.array(grid)
+        gam = np.array([checked[i] for i in grid])
+        beta, f, cu = evaluate(u, gam)
+        traces = {i: [v] for i, v in zip(grid, f.tolist())}
+        step = np.full(len(grid), LSPCA_INITIAL_STEP)
+        n_iters = np.ones(len(grid), dtype=int)
+        while slot.size:
+            _, grad = gradient(beta, cu, gam)
+            u_new = stiefel_step(u, grad, step)
+            beta_new, f_new, cu_new = evaluate(u_new, gam)
+            took = f_new < f
+            rel = (f - f_new) / np.maximum(1.0, np.abs(f))
+            back = np.flatnonzero(~took)  # these fits keep their current row
+            if back.size:
+                for new, old in ((u_new, u), (beta_new, beta), (cu_new, cu)):
+                    new[back] = old[back]
+            u, beta, cu, f = u_new, beta_new, cu_new, np.where(took, f_new, f)
+            for i, v in compress(zip(slot.tolist(), f.tolist()), took.tolist()):
+                traces[i].append(v)
+            step *= np.where(took, 2.0, 0.5)
+            n_iters += took  # n_iters - took: the iteration each fit just ran
+            converged = np.where(took, rel < LSPCA_TOL, step < LSPCA_MIN_STEP)
+            stop = converged | (n_iters > LSPCA_MAX_ITERS)
+            if stop.any():
+                for j, i in zip(np.flatnonzero(stop), slot[stop].tolist()):
+                    # copies: a view would keep the whole stack alive
+                    record(k, i, u[j].copy(), beta[j].copy(), traces[i],
+                           bool(converged[j]), int(n_iters[j] - took[j]))
+                keep = ~stop
+                slot, gam, step, f, n_iters, u, beta, cu = (
+                    a[keep] for a in (slot, gam, step, f, n_iters, u, beta, cu))
 
     def newton_parts(u, beta, cu, gam):
         """For a stack of K-column fits: an orthonormal complement V of
@@ -345,7 +362,7 @@ def fit_lspca_sweep(data: Dataset, ks, gammas
         m, _, k = u.shape
         v = np.linalg.qr(u, mode="complete")[0][..., k:]
         vt = v.swapaxes(-1, -2)
-        resid, grad = gradient(beta, cu, gam, w)
+        resid, grad = gradient(beta, cu, gam)
         g = (vt @ grad).reshape(m, -1)
         # Hess[V X] = (I - U U^T) D grad[V X] - V X U^T grad, with D beta[V X]
         # = -A^-1 M^T vec X and U^T grad = -2 gamma A (U^T r = 0 at the
@@ -387,33 +404,34 @@ def fit_lspca_sweep(data: Dataset, ks, gammas
         fits = [(name, i) for name in starts for i in grid]
         u = np.stack([starts[name] for name, _ in fits])
         gam = np.array([checked[i] for _, i in fits])
-        k_row = np.full(len(fits), k)
-        beta, f, cu = evaluate(u, gam, k_row, cov, w)
+        beta, f, cu = evaluate(u, gam)
         traces = [[value] for value in f.tolist()]
         ends = [None] * len(fits)  # (basis, beta, converged, iterations)
 
-        # The running fits' state, one row per fit, as in descend_together,
-        # with each fit's damping mu in place of its step size.  Each round
-        # forms every running fit's Hessian (a fit whose last step was
-        # rejected forms the same one again) and takes one damped step.
+        # The running fits' state, one row per fit, as in ``descend``, with
+        # its index in ``fits`` as its slot, its damping mu in place of its
+        # step size, and its ``newton_parts``.  Each round takes one damped
+        # step per fit; only a fit that moved and runs on forms its parts
+        # anew (a rejected step leaves them as they were).
         slot = np.arange(len(fits))
         mu = np.full(len(fits), 0.1)
         n_iters = np.zeros(len(fits), dtype=int)
         done = np.zeros(len(fits), dtype=bool)
+        parts = newton_parts(u, beta, cu, gam)
         while True:
-            v, g, hess, low, size, flat = newton_parts(u, beta, cu, gam)
-            converged = done | flat
+            converged = done | parts[-1]  # or its gradient test holds
             stop = converged | (n_iters >= LSPCA_MAX_ITERS)
             if stop.any():
                 for j, s in zip(np.flatnonzero(stop), slot[stop].tolist()):
                     ends[s] = (u[j].copy(), beta[j].copy(), bool(converged[j]),
                                int(n_iters[j]))
                 keep = ~stop
-                slot, gam, k_row, mu, n_iters, f, u, beta, cu, v, g, hess, low, size = (
-                    a[keep] for a in (slot, gam, k_row, mu, n_iters, f, u, beta,
-                                      cu, v, g, hess, low, size))
+                slot, gam, mu, n_iters, f, u, beta, cu, *parts = (
+                    a[keep] for a in (slot, gam, mu, n_iters, f, u, beta, cu,
+                                      *parts))
                 if not slot.size:
                     break
+            v, g, hess, low, size, _ = parts
             # Levenberg-Marquardt: shift H's spectrum past its most negative
             # eigenvalue by mu |H|.  mu stays at or above 1e-8, so that a
             # step (at most |g| / (mu |H|) long) stays far from where the QR
@@ -422,7 +440,7 @@ def fit_lspca_sweep(data: Dataset, ks, gammas
             x = -np.linalg.solve(hess + shift[:, None, None] * np.eye(g.shape[1]),
                                  g[..., None])[..., 0]
             u_new = orthonormalize(u + v @ x.reshape(len(slot), p - k, k))
-            beta_new, f_new, cu_new = evaluate(u_new, gam, k_row, cov, w)
+            beta_new, f_new, cu_new = evaluate(u_new, gam)
             took = f_new < f
             rel = (f - f_new) / np.maximum(1.0, np.abs(f))
             done = np.where(took, rel < LSPCA_TOL,
@@ -436,6 +454,11 @@ def fit_lspca_sweep(data: Dataset, ks, gammas
                 traces[s].append(value)
             mu = np.maximum(mu * np.where(took, 0.1, 10.0), 1e-8)
             n_iters += took
+            moved = np.flatnonzero(took & ~done & (n_iters < LSPCA_MAX_ITERS))
+            if moved.size:
+                for a, new in zip(parts, newton_parts(u[moved], beta[moved],
+                                                      cu[moved], gam[moved])):
+                    a[moved] = new
         for i in grid:
             s = min((s for s, (_, j) in enumerate(fits) if j == i),
                     key=lambda s: traces[s][-1])
@@ -443,76 +466,14 @@ def fit_lspca_sweep(data: Dataset, ks, gammas
             record(k, i, basis, beta_end, traces[s], converged_end, iterations,
                    start=fits[s][0])
 
-    # a K on a small Grassmann manifold takes Newton steps, unpadded
-    newton_ks = [k for k in descend if (p - k) * k <= LSPCA_NEWTON_DIM]
-    if newton_ks:
-        # the closed-form start's direction b = C^-1 w, at minimum norm
-        b = np.linalg.lstsq(cov, w, rcond=None)[0]
-        for k in newton_ks:
-            newton(k, descend.pop(k), b)
-
-    def descend_together(fits: list) -> None:
-        """Run the (K, grid index) fits of ``fits`` in one lock-step loop."""
-        k_row = np.array([k for k, _ in fits])
-        width = int(k_row.max())
-        extra = width - int(k_row.min())
-        cov_e, w_e = np.pad(cov, (0, extra)), np.pad(w, (0, extra))
-        # each fit's start [[V_K, 0], [0, I]] in the extended space
-        u = np.zeros((len(fits), p + extra, width))
-        for j, k in enumerate(k_row.tolist()):
-            cols = np.arange(k, width)
-            u[j, :p, :k] = start[:, :k]
-            u[j, p + cols - k, cols] = 1.0
-
-        # The running fits' state, one row per fit: its index in ``fits``,
-        # gamma, K, step size, objective, the iteration of the next step,
-        # and the basis, beta and cov @ U stacks.  One keep mask drops the
-        # rows of the fits that stop.
-        slot = np.arange(len(fits))
-        gam = np.array([checked[i] for _, i in fits])
-        beta, f, cu = evaluate(u, gam, k_row, cov_e, w_e)
-        traces = [[v] for v in f.tolist()]
-        step = np.full(len(fits), LSPCA_INITIAL_STEP)
-        n_iters = np.ones(len(fits), dtype=int)
-        while slot.size:
-            _, grad = gradient(beta, cu, gam, w_e)
-            u_new = stiefel_step(u, grad, step)
-            beta_new, f_new, cu_new = evaluate(u_new, gam, k_row, cov_e, w_e)
-            took = f_new < f
-            rel = (f - f_new) / np.maximum(1.0, np.abs(f))
-            back = np.flatnonzero(~took)  # these fits keep their current row
-            if back.size:
-                for new, old in ((u_new, u), (beta_new, beta), (cu_new, cu)):
-                    new[back] = old[back]
-            u, beta, cu, f = u_new, beta_new, cu_new, np.where(took, f_new, f)
-            for s, v in compress(zip(slot.tolist(), f.tolist()), took.tolist()):
-                traces[s].append(v)
-            step *= np.where(took, 2.0, 0.5)
-            n_iters += took  # n_iters - took: the iteration each fit just ran
-            converged = np.where(took, rel < LSPCA_TOL, step < LSPCA_MIN_STEP)
-            stop = converged | (n_iters > LSPCA_MAX_ITERS)
-            if stop.any():
-                for j, s in zip(np.flatnonzero(stop), slot[stop].tolist()):
-                    k, i = fits[s]
-                    # copies: a view would keep the whole stack alive
-                    record(k, i, u[j, :p, :k].copy(), beta[j, :k].copy(),
-                           traces[s], bool(converged[j]),
-                           int(n_iters[j] - took[j]))
-                keep = ~stop
-                slot, gam, k_row, step, f, n_iters, u, beta, cu = (
-                    a[keep] for a in (slot, gam, k_row, step, f, n_iters, u,
-                                      beta, cu))
-
-    # Consecutive Ks join one group while its stack stays within the limit.
-    group: list = []
-    for k in sorted(descend):
-        joined = group + [(k, i) for i in descend[k]]
-        if group and len(joined) * (p + k - group[0][0]) * k > LSPCA_STACK_DOUBLES:
-            descend_together(group)
-            joined = joined[len(group):]
-        group = joined
-    if group:
-        descend_together(group)
+    b = None  # the closed-form start's direction b = C^-1 w, at minimum norm
+    for k, grid in grids.items():
+        if (p - k) * k > LSPCA_NEWTON_DIM:
+            descend(k, grid)
+            continue
+        if b is None:
+            b = np.linalg.lstsq(cov, w, rcond=None)[0]
+        newton(k, grid, b)
     return results
 
 

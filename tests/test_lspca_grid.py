@@ -4,10 +4,11 @@
 reference: a closed-form beta, one projected-gradient QR-retraction step on
 U, backtracking until the objective decreases.  Every fit of the grid must
 take the same iterations and stop the same way as this loop.  The joint fit
-over a K range (``fit_lspca_sweep``) must in turn match the grid fit at each
-K alone, up to the rounding of its padded stack.  These first-order tests run
-every K through the descent (``first_order_lspca``), since at these P the
-sweep otherwise takes Newton steps; the Newton path's own tests follow them.
+over a K range (``fit_lspca_sweep``) must in turn be the grid fit at each K
+alone, bit for bit: each K runs its own lock-step over its grid.  These
+first-order tests run every K through the descent (``first_order_lspca``),
+since at these P the sweep otherwise takes Newton steps; the Newton path's
+own tests follow them.
 """
 
 import math
@@ -226,9 +227,8 @@ class TestGridClosedForms:
 
 
 def _assert_joint_matches_per_k(data, ks, gammas):
-    """Every (K, gamma) fit of the joint sweep stops at the same iteration in
-    the same way as the grid fit at that K alone, with its final objective
-    within 1e-12 relative and its projector U U^T within 1e-10."""
+    """Every (K, gamma) fit of the joint sweep is the grid fit at that K
+    alone, bit for bit: basis, beta, objective trace and hyperparams."""
     joint = fit_lspca_sweep(data, ks, gammas)
     assert list(joint) == list(ks)
     for k in ks:
@@ -239,12 +239,9 @@ def _assert_joint_matches_per_k(data, ks, gammas):
             where = f"K={k}, gamma={gamma!r}"
             assert sol.n_iters == want.n_iters, where
             assert sol.converged == want.converged, where
-            assert len(sol.objective_trace) == len(want.objective_trace), where
-            assert sol.objective_trace[-1] == pytest.approx(
-                want.objective_trace[-1], rel=1e-12, abs=0), where
-            np.testing.assert_allclose(sol.basis @ sol.basis.T,
-                                       want.basis @ want.basis.T,
-                                       rtol=0, atol=1e-10, err_msg=where)
+            assert sol.objective_trace == want.objective_trace, where
+            assert sol.basis.tobytes() == want.basis.tobytes(), where
+            assert sol.beta.tobytes() == want.beta.tobytes(), where
             assert reducer.hyperparams == want_reducer.hyperparams, where
             assert sol.basis.shape == (data.p, k) and sol.beta.shape == (k,)
             assert reducer.basis.flags.c_contiguous
@@ -282,31 +279,32 @@ class TestJointSweepMatchesPerK:
         _assert_joint_matches_per_k(_random_dataset(9), [4, 1, 7],
                                     [1e-3, 1e6, 0.5, 1e-2])
 
-    def test_consecutive_ks_share_a_stack_within_its_limit(self, monkeypatch):
-        """Ks join a group while its padded stack holds at most
-        LSPCA_STACK_DOUBLES numbers; a K that fits with no neighbour runs
-        alone, unpadded, and equals its grid fit bit for bit."""
-        monkeypatch.setattr(intrinsic, "LSPCA_STACK_DOUBLES", 2000)
-        shapes = set()
+    def test_each_k_steps_its_own_stack(self, monkeypatch):
+        """Every ``stiefel_step`` call steps one K's running fits, a (m, P,
+        K) stack: the Ks run one after another, each in one loop that starts
+        with its whole grid and only ever drops fits."""
+        shapes = []
 
         def recorded(u, grad, step):
-            shapes.add(u.shape[1:])
+            shapes.append(u.shape)
             return stiefel_step(u, grad, step)
         monkeypatch.setattr(intrinsic, "stiefel_step", recorded)
         data = _wine_shaped_fit_split()
         joint = fit_lspca_sweep(data, range(1, 12), TUNING_GAMMAS)
-        # 15 fits per K at P = 11: K = 1..3 fill 45 x 13 x 3 = 1,755
-        # numbers, K = 4, 5 fill 30 x 12 x 5 = 1,800, and from K = 6 on two
-        # Ks (30 x 12 x 7 = 2,520 and up) exceed the limit
-        assert shapes == {(13, 3), (12, 5), (11, 6), (11, 7), (11, 8),
-                          (11, 9), (11, 10)}
-        monkeypatch.setattr(intrinsic, "stiefel_step", stiefel_step)
-        _assert_joint_matches_per_k(data, list(range(1, 12)), TUNING_GAMMAS)
-        for k in range(6, 12):
-            alone = fit_lspca_sweep(data, [k], TUNING_GAMMAS)[k]
-            for (_, sol), (_, want) in zip(joint[k], alone):
-                np.testing.assert_array_equal(sol.basis, want.basis)
-                assert sol.objective_trace == want.objective_trace
+        iterating = len([g for g in TUNING_GAMMAS if g < math.inf])
+        runs = {}  # K -> the stack heights of its calls, in call order
+        for m, p, k in shapes:
+            assert p == data.p and 1 <= m <= iterating
+            if k in runs:  # one loop per K: its calls are consecutive
+                assert k == list(runs)[-1], shapes
+            runs.setdefault(k, []).append(m)
+        assert list(runs) == list(range(1, 11))  # K = P = 11 does not iterate
+        for k, heights in runs.items():
+            assert heights[0] == iterating, k
+            assert all(a >= b for a, b in zip(heights, heights[1:])), k
+            # a fit takes one trial step per round until it stops
+            accepted = [len(sol.objective_trace) - 1 for _, sol in joint[k]]
+            assert len(heights) >= max(accepted), k
 
     def test_ks_may_be_any_iterable(self):
         data = _random_dataset(18, p=5)
@@ -316,17 +314,16 @@ class TestJointSweepMatchesPerK:
         """At gamma = 1e8 the K = 1 fit starts at the top eigenvector, which
         is near its optimum: the tangent part of its gradient -2 gamma (C U -
         U U^T C U) cancels down to rounding of gamma |C U|, about 1e-8.  Its
-        one accepted step moves U along that rounding, so the padded stack's
-        other rounding moves the projector by about 4e-8 while the objective
-        agrees to 1e-15."""
+        one accepted step moves U along that rounding, so any other rounding
+        of its sums would move the projector by about 4e-8; the sweep's fit
+        takes the same step as the one-K fit, bit for bit."""
         data = _random_dataset(9)
         (_, sol), = fit_lspca_sweep(data, [1, 4], [1e8])[1]
         (_, want), = fit_lspca_sweep(data, [1], [1e8])[1]
         assert sol.n_iters == want.n_iters == 1
-        assert sol.objective_trace[-1] == pytest.approx(
-            want.objective_trace[-1], rel=1e-12, abs=0)
-        np.testing.assert_allclose(sol.basis @ sol.basis.T,
-                                   want.basis @ want.basis.T, rtol=0, atol=1e-6)
+        assert sol.objective_trace == want.objective_trace
+        assert sol.basis.tobytes() == want.basis.tobytes()
+        assert sol.beta.tobytes() == want.beta.tobytes()
 
     def test_gamma_independent_work_once_per_k(self, monkeypatch):
         """One PCA eigensolve serves every K's start, and whitened data's
@@ -382,7 +379,7 @@ def test_singular_gram_slice_falls_back_to_least_squares():
 
 # ---------------------------------------------------------------------------
 # The Newton path: every K whose Grassmann manifold has dimension
-# (P - K) K <= LSPCA_NEWTON_DIM (every K at P = 11 and 12)
+# (P - K) K <= LSPCA_NEWTON_DIM (every K at P <= 20)
 # ---------------------------------------------------------------------------
 
 def _objective(data, u, gamma):
@@ -413,21 +410,52 @@ def _wide(seed=23, n=8, p=11):
     return Dataset(x - x.mean(axis=0), y - y.mean())
 
 
-@pytest.fixture(scope="module", params=["wine", "random20", "random21"])
+def _p20(seed=28):
+    """A P = 20 split: Ks 5..15 have 64 < (P - K) K <= 100."""
+    return _random_dataset(seed, n=200, p=20)
+
+
+@pytest.fixture(scope="module", params=["wine", "random20", "random21", "p20"])
 def newton_split(request):
     if request.param == "wine":
         return _wine_shaped_fit_split()
+    if request.param == "p20":
+        return _p20()
     return _random_dataset(int(request.param[-2:]))
 
 
 class TestNewton:
     def test_dispatch_is_on_the_grassmann_dimension(self):
-        assert intrinsic.LSPCA_NEWTON_DIM >= 30  # every K at P = 11
-        data = _random_dataset(24, p=16)  # d = 15 K = 1 and 63 at K = 7
-        sweep = fit_lspca_sweep(data, [1, 7, 8], [1.0])
+        # every K at P = 20 (d at most 100), not K = 10 at P = 21 (d = 110)
+        assert (20 - 10) * 10 <= intrinsic.LSPCA_NEWTON_DIM < (21 - 10) * 10
+        data = _random_dataset(24, p=21)  # d = 20 at K = 1 and 80 at K = 5
+        sweep = fit_lspca_sweep(data, [1, 5, 10], [1.0])
         assert {k: "start" in sweep[k][0][0].hyperparams for k in sweep} == {
-            1: True, 7: (16 - 7) * 7 <= intrinsic.LSPCA_NEWTON_DIM,
-            8: (16 - 8) * 8 <= intrinsic.LSPCA_NEWTON_DIM}
+            1: True, 5: True, 10: False}
+        assert sweep[10][0][1].n_iters > 0  # the descent iterated
+
+    @pytest.mark.parametrize("data", [_p20(), _wine_shaped_fit_split(6, p=20)],
+                             ids=["random", "wine_shaped"])
+    def test_above_the_old_cap_it_ends_at_or_below_the_descent(
+            self, data, monkeypatch):
+        """The Ks with 64 < d <= 100, which took the first-order descent
+        under a cap of 64, converge on the Newton path and end no higher
+        than the descent's fit."""
+        ks = [5, 10, 15]  # d = 75, 100, 75
+        newton = fit_lspca_sweep(data, ks, TUNING_GAMMAS)
+        monkeypatch.setattr(intrinsic, "LSPCA_NEWTON_DIM", 64)
+        descent = fit_lspca_sweep(data, ks, TUNING_GAMMAS)
+        for k in ks:
+            for gamma, (reducer, sol), (first, first_sol) in zip(
+                    TUNING_GAMMAS, newton[k], descent[k]):
+                where = f"K={k}, gamma={gamma!r}"
+                assert sol.converged, where
+                if math.isinf(gamma):
+                    assert sol.objective_trace == first_sol.objective_trace
+                    continue
+                assert "start" in reducer.hyperparams, where
+                assert "start" not in first.hyperparams, where
+                assert sol.objective_trace[-1] <= first_sol.objective_trace[-1], where
 
     def test_every_fit_converges_below_both_starts(self, newton_split):
         data = newton_split
