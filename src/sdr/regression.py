@@ -85,16 +85,24 @@ def select_candidate(bases: np.ndarray, fit, score, exact, rtol: float):
     cutoff are scored: i is dropped when m_i - delta_i > min(m + delta) *
     (1 + rtol), for its score then exceeds the cutoff.  Every candidate is
     scored, as without the screen, when a moment score or bound is not
-    finite or no kept candidate's score is.
+    finite or no kept candidate's score is.  A candidate bitwise equal to
+    one already scored takes its score without a call to ``exact``.
     """
     m, delta = moment_mse(bases, fit, score)
     keep = range(len(m))
     if np.all(np.isfinite(m) & np.isfinite(delta)):
         keep = np.flatnonzero(m - delta <= np.min(m + delta) * (1.0 + rtol))
-    scored = [(s, i) for i in keep if math.isfinite(s := exact(i))]
+    scores = {}  # a basis's bytes -> its score
+
+    def exact_once(i: int) -> float:
+        key = bases[i].tobytes()
+        if key not in scores:
+            scores[key] = exact(i)
+        return scores[key]
+    scored = [(s, i) for i in keep if math.isfinite(s := exact_once(i))]
     if not scored:
         scored = [(s, i) for i in sorted(set(range(len(m))) - set(keep))
-                  if math.isfinite(s := exact(i))]
+                  if math.isfinite(s := exact_once(i))]
     if not scored:
         return None
     cutoff = min(s for s, _ in scored) * (1.0 + rtol)

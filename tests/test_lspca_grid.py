@@ -18,8 +18,9 @@ import pytest
 
 from sdr import intrinsic, oracles
 from sdr.data import Dataset, center_dataset, fit_centering
-from sdr.intrinsic import (_is_isotropic, _rank1_completed_basis, _solve_stack,
-                           fit_lspca, fit_lspca_sweep)
+from sdr.intrinsic import (_damped_step, _is_isotropic, _newton_parts,
+                           _rank1_completed_basis, _solve_stack, fit_lspca,
+                           fit_lspca_sweep)
 from sdr.linalg import stiefel_step, sym_eig_topk
 from sdr.methods import DEFAULT_GAMMA_GRID
 from sdr.simulation import SpectrumSpec, TrialSpec, generate_trial
@@ -549,6 +550,110 @@ class TestNewton:
         (joint, joint_sol), = fit_lspca_sweep(data, [1, 4], [1e8])[1]
         assert joint.basis.tobytes() == reducer.basis.tobytes()
         assert joint_sol.objective_trace == sol.objective_trace
+
+
+def _dense_newton(cov, w, u, beta, gamma, v):
+    """The reference Newton model of one fit, assembled densely: the
+    Riemannian gradient g and Hessian H in the coordinates X of the tangent
+    vectors V X (vec X row by row), and the damping metric I (x) A.
+
+    Hess[V X] = (I - U U^T) D grad[V X] - V X U^T grad, with D beta[V X] =
+    -A^-1 M^T vec X and U^T grad = -2 gamma A (U^T r = 0 at the optimal
+    beta), where A = U^T C U and M[(i, j), l] = (V^T C U)[i, l] beta[j] +
+    (V^T r)[i] delta[j, l].  So H = 2 [V^T C V (x) (beta beta^T - gamma I)
+    + gamma I (x) A - M A^-1 M^T], (x) the Kronecker product."""
+    p, k = u.shape
+    cu = cov @ u
+    resid = cu @ beta - w
+    g = (v.T @ (2.0 * (np.outer(resid, beta) - gamma * cu))).reshape(-1)
+    gram = u.T @ cu
+    eye = np.eye(k)
+    mmat = ((v.T @ cu)[:, None, :] * beta[None, :, None]
+            + (v.T @ resid)[:, None, None] * eye).reshape(-1, k)
+    hess = ((v.T @ cov @ v)[:, None, :, None]
+            * (np.outer(beta, beta) - gamma * eye)[None, :, None, :]
+            + np.eye(p - k)[:, None, :, None] * (gamma * gram)[None, :, None, :])
+    hess = 2.0 * (hess.reshape(g.size, -1)
+                  - mmat @ _solve_stack(gram[None], mmat.T[None])[0])
+    return g, hess, np.kron(np.eye(p - k), gram)
+
+
+def _newton_states(seed, count):
+    """(C, w, U, beta, gamma, singular) at P = 5..20, K = 1..P - 1, with the
+    least-squares beta: random U, where H is indefinite, and every fifth a
+    U containing a null vector of a singular C, so that A = U^T C U is
+    singular."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        p = int(rng.integers(5, 21))
+        k = int(rng.integers(1, p))
+        singular = case % 5 == 0
+        x = rng.standard_normal((3 * p, p)) * np.logspace(0, -1, p)
+        u = np.linalg.qr(rng.standard_normal((p, k)))[0]
+        if singular:
+            x[:, 0] = 0.0
+            u[0], u[:, 0] = 0.0, np.eye(p)[0]
+            u[1:, 1:] = np.linalg.qr(u[1:, 1:])[0]
+        cov = x.T @ x
+        w = rng.standard_normal(p)
+        beta = np.linalg.lstsq(u.T @ cov @ u, u.T @ w, rcond=None)[0]
+        yield cov, w, u, beta, float(10 ** rng.uniform(-3, 3)), singular
+
+
+class TestStructuredStep:
+    """``_damped_step`` on ``_newton_parts`` against the dense reference
+    ``solve(H + sigma I (x) A, -g)`` in the coordinates of the same
+    complement V, sigma = mu beyond the most negative D, over mu from 1e-8
+    to 1e3 of max |D|."""
+
+    @staticmethod
+    def _compare(cov, w, u, beta, gamma):
+        """(verdicts, reference verdicts, worst relative step error)."""
+        cu = cov @ u
+        resid = cu @ beta - w
+        parts = _newton_parts(cov, u[None], beta[None], cu[None],
+                              np.array([gamma]), resid[None],
+                              2.0 * (np.outer(resid, beta) - gamma * cu)[None])
+        v = parts[0][0]
+        g, hess, metric = _dense_newton(cov, w, u, beta, gamma, v)
+        d = parts[3][0]
+        verdicts, want, worst = [], [], 0.0
+        for mu in 10.0 ** np.arange(-8, 4) * np.abs(d).max():
+            x, pd = _damped_step(parts, np.array([mu]))
+            shifted = hess + (mu - min(d.min(), 0.0)) * metric
+            lam = np.linalg.eigvalsh(shifted)
+            if abs(lam[0]) <= 1e-9 * np.abs(lam).max():
+                continue  # on the boundary, where rounding decides
+            verdicts.append(bool(pd[0]))
+            want.append(bool(lam[0] > 0))
+            if pd[0] and lam[0] > 1e-4 * lam[-1]:
+                ref = v @ np.linalg.solve(shifted, -g).reshape(v.shape[1], -1)
+                worst = max(worst, np.linalg.norm(x[0] - ref) / np.linalg.norm(ref))
+        return verdicts, want, worst
+
+    def test_random_states(self):
+        seen = set()
+        for cov, w, u, beta, gamma, singular in _newton_states(31, 250):
+            verdicts, want, worst = self._compare(cov, w, u, beta, gamma)
+            assert verdicts == want, (u.shape, gamma, singular)
+            assert worst <= 1e-10, (u.shape, gamma, singular)
+            seen.update((singular, v) for v in want)
+        # both verdicts occur (not positive definite at sigma > 0: H is
+        # indefinite); a singular A is never positive definite under a
+        # damping that vanishes on its null space
+        assert seen == {(False, False), (False, True), (True, False)}
+
+    def test_at_converged_fits(self):
+        """Near an optimum H is positive definite: every mu gives a step."""
+        data = _wine_shaped_fit_split()
+        cov, w, _, _ = data.moments
+        for k in (1, 5, 10):
+            gammas = TUNING_GAMMAS[:-1:3]
+            for gamma, (_, sol) in zip(gammas, fit_lspca_sweep(data, [k], gammas)[k]):
+                verdicts, want, worst = self._compare(cov, w, sol.basis,
+                                                      sol.beta, gamma)
+                assert verdicts == want and len(want) == 12 and all(want), (k, gamma)
+                assert worst <= 1e-10, (k, gamma)
 
 
 class TestSphereGridOracle:

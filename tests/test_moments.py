@@ -81,7 +81,7 @@ def _sppca_data_form(data, k):
     v0, *_ = np.linalg.lstsq(z0, y, rcond=None)
     v = v0 * load_scale
     resid = y - z0 @ v0
-    sy2 = max(float(resid @ resid) / n, 1e-8)
+    sy2 = max(float(resid @ resid) / n, 1e-3 * float(y @ y) / n, 1e-8)
     t = np.concatenate([x, y[:, None]], axis=1)
     xx, yy = float(np.sum(x * x)), float(y @ y)
     ll_prev = _sppca_loglik_data_form(t, u, v, sx2, sy2)

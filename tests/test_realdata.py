@@ -26,6 +26,26 @@ def linear_csv(tmp_path_factory):
     return path
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sppca_at_full_k_on_an_exactly_linear_response(tmp_path, seed):
+    """y = X (1, ..., 5) exactly: at K = P every latent model fits the data
+    with zero noise, and each K ends in a finite fit or a typed error."""
+    x = np.random.default_rng(seed).standard_normal((60, 5))
+    path = tmp_path / "linear.csv"
+    np.savetxt(path, np.column_stack([x, x @ np.arange(1.0, 6.0)]),
+               delimiter=",", header="a,b,c,d,e,y", comments="")
+    result = run_real_data(RealDataConfig(path=str(path), response="y",
+                                          methods=("sppca",)))
+    assert [pt.k for pt in result.points] == [1, 2, 3, 4, 5]
+    typed = ("ValueError", "RankDeficientError", "DegenerateDirectionError",
+             "IterationLimitError")
+    for pt in result.points:
+        if pt.error is None:
+            assert math.isfinite(pt.train_mse) and math.isfinite(pt.test_mse)
+        else:
+            assert pt.error.startswith(typed), pt.error
+
+
 def test_split_sizes_follow_eighty_twenty(linear_csv):
     config = RealDataConfig(path=str(linear_csv), response="target",
                             delimiter=";", methods=("ols",), k_min=1, k_max=1)

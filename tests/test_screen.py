@@ -180,7 +180,10 @@ class TestScreenIsSound:
                                   lambda i: scored.append(i) or exact[i], rtol)
         finite = exact[np.isfinite(exact)]
         cutoff = finite.min() * (1.0 + rtol)
-        dropped = sorted(set(range(len(exact))) - set(scored))
+        # a bitwise copy of a scored candidate takes its score
+        seen = {bases[i].tobytes() for i in scored}
+        assert len(seen) == len(scored)
+        dropped = [i for i in range(len(exact)) if bases[i].tobytes() not in seen]
         assert np.all(exact[dropped] > cutoff)
         assert chosen[0] == np.flatnonzero(exact <= cutoff)[0]
 
@@ -224,6 +227,39 @@ def test_wine_shaped_split_fits_few_candidates(monkeypatch):
     assert len(calls) <= candidates // 4
 
 
+class TestDuplicateCandidates:
+    """At K = P every LSPCA gamma returns the same closed-form PCA basis;
+    bitwise-equal candidates are scored on the rows once."""
+
+    @pytest.mark.parametrize("family", ["wine-5", "k-equals-p"])
+    def test_one_ols_fit_for_lspca_at_full_k(self, family, monkeypatch):
+        train, val = _family(family)
+        gammas = METHODS["lspca"].tuning_grid(DEFAULT_GAMMA_GRID)
+        reducers = METHODS["lspca"].fit(train, [train.p], gammas)[train.p]
+        assert len({r.basis.tobytes() for r in reducers}) == 1 < len(reducers)
+        want = _exhaustive(gammas, reducers, train, val)
+        calls = []
+        real_ols_fit = methods.ols_fit
+        monkeypatch.setattr(methods, "ols_fit",
+                            lambda z, y: calls.append(None) or real_ols_fit(z, y))
+        got = _choose("lspca", gammas, reducers, train, val)
+        assert len(calls) == 1
+        assert got.reducer is want.reducer
+        assert got.hyperparams == want.hyperparams
+        assert got.hyperparams["val_mse"].hex() == want.hyperparams["val_mse"].hex()
+        assert np.array_equal(got.model.coefficients, want.model.coefficients)
+
+    def test_copies_take_the_first_score(self, monkeypatch):
+        monkeypatch.setattr(regression, "moment_mse",
+                            lambda bases, *args: (np.ones(len(bases)),
+                                                  np.zeros(len(bases))))
+        a, b = np.eye(4)[:, :2], np.eye(4)[:, 1:3]
+        scored = []
+        chosen = select_candidate(np.stack([a, b, a, b.copy()]), None, None,
+                                  lambda i: scored.append(i) or [2.0, 1.0][i], 0.0)
+        assert scored == [0, 1] and chosen == (1, 1.0)
+
+
 class TestFallback:
     def test_non_finite_moment_score_scores_every_candidate(self, monkeypatch):
         train, val = wine_shaped(5)
@@ -236,7 +272,8 @@ class TestFallback:
 
         monkeypatch.setattr(regression, "moment_mse", nan_first)
         scored = []
-        chosen = select_candidate(np.stack([np.eye(11)[:, :2]] * 3), train.moments,
+        chosen = select_candidate(np.stack([np.eye(11)[:, j:j + 2] for j in (0, 2, 4)]),
+                                  train.moments,
                                   val.moments, lambda i: scored.append(i) or 1.0,
                                   TIE_RTOL)
         assert scored == [0, 1, 2] and chosen == (0, 1.0)
@@ -258,11 +295,12 @@ class TestFallback:
                             lambda *args: (np.array([1.0, 5.0, 4.0]), np.zeros(3)))
         scored = []
         exact = [math.nan, 5.0, 4.0]
-        chosen = select_candidate(None, None, None,
+        chosen = select_candidate(np.eye(3)[:, :, None], None, None,
                                   lambda i: scored.append(i) or exact[i], 0.0)
         assert scored == [0, 1, 2] and chosen == (2, 4.0)
 
     def test_no_finite_score_at_all(self, monkeypatch):
         monkeypatch.setattr(regression, "moment_mse",
                             lambda *args: (np.array([1.0, 2.0]), np.zeros(2)))
-        assert select_candidate(None, None, None, lambda i: math.nan, 0.0) is None
+        assert select_candidate(np.eye(2)[:, :, None], None, None,
+                                lambda i: math.nan, 0.0) is None
