@@ -5,13 +5,13 @@ response-aware variants), a downstream least-squares stage, and benchmark
 protocols for synthetic and real data.
 """
 
-from .data import (CenteringTransform, Dataset, FittedReducer, IngestError,
-                   Moments, center_dataset, fit_centering, load_csv, reduce,
-                   reducer_from_json, reducer_to_json)
+from .data import (CenteringTransform, Dataset, Factor, FittedReducer,
+                   IngestError, Moments, center_dataset, fit_centering,
+                   load_csv, reduce, reducer_from_json, reducer_to_json)
 from .intrinsic import (LspcaSolution, SppcaState, fit_barshan_extended,
-                        fit_lspca, fit_lspca_sweep, fit_pls_extended,
-                        fit_pls_grid, fit_sppca, fit_sppca_model,
-                        predict_sppca)
+                        fit_barshan_sweep, fit_lspca, fit_lspca_sweep,
+                        fit_pls_extended, fit_pls_grid, fit_sppca,
+                        fit_sppca_model, predict_sppca)
 from .linalg import (DegenerateDirectionError, EigenPairs,
                      IterationLimitError, RankDeficientError, orthonormalize,
                      stiefel_step, sym_eig_top1, sym_eig_topk)

@@ -45,6 +45,15 @@ class Moments(NamedTuple):
     n: int
 
 
+class Factor(NamedTuple):
+    """A thin QR X = QR of a dataset's rows, kept as R, Q^T y and the row
+    count n, read-only."""
+
+    r: np.ndarray
+    qty: np.ndarray
+    n: int
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An N x P variable matrix paired with an N-vector response."""
@@ -83,6 +92,17 @@ class Dataset:
         xx, xy = self.X.T @ self.X, self.X.T @ self.y
         xx.flags.writeable = xy.flags.writeable = False
         return Moments(xx, xy, float(self.y @ self.y), self.n)
+
+    @cached_property
+    def factor(self) -> Factor:
+        """One thin QR of the rows, shared by every least-squares fit on this
+        dataset; X and y must not change.  The R of [X y] holds R and Q^T y
+        in its first min(N, P) rows."""
+        m = min(self.n, self.p)
+        ry = np.linalg.qr(np.column_stack([self.X, self.y]), mode="r")[:m]
+        r, qty = ry[:, :-1].copy(), ry[:, -1].copy()
+        r.flags.writeable = qty.flags.writeable = False
+        return Factor(r, qty, self.n)
 
 
 @dataclass(frozen=True)

@@ -155,23 +155,57 @@ def fit_barshan_extended(data: Dataset, k: int, gamma: float) -> FittedReducer:
     gamma = inf is the classic PCA basis.  On whitened data (X^T X = I) the
     trailing eigenvalues all tie, so the same deterministic completion is
     applied to keep the learned subspace reproducible.
+
+    This is the one-(K, gamma) call of ``fit_barshan_sweep``.
     """
-    gamma = _check_gamma(gamma)
-    if k > data.p:
-        raise ValueError(f"K={k} exceeds P={data.p}")
+    fits = fit_barshan_sweep(data, [k], [gamma])[k]
+    if isinstance(fits, Exception):
+        raise fits
+    return fits[0]
+
+
+def fit_barshan_sweep(data: Dataset, ks, gammas) -> dict:
+    """Barshan at every K of ``ks`` and gamma of a grid: ``{k: [reducer per
+    gamma]}``, each as ``fit_barshan_extended`` describes it, or at a K the
+    error its first failing gamma raises there.
+
+    A K's basis at gamma > 0 is the first K columns of one eigensolve per
+    gamma at the sweep's largest K, bit for bit the eigensolve at K (the
+    columns are sign-fixed one by one); the rank-1 completion (gamma = 0,
+    and every finite gamma on whitened data) runs once per K.
+    """
     cov, w, yy, _ = data.moments
-    hyper = {"gamma": gamma}
-    if math.isinf(gamma):
-        basis = sym_eig_topk(cov, k).vectors
-    else:
+    top = max((k for k in ks if k <= data.p), default=1)
+    isotropic = _is_isotropic(cov) and np.linalg.norm(w) > 0
+    vectors, completed = {}, {}  # gamma -> eigenvectors; K -> completion
+
+    def fit(k: int, gamma: float) -> FittedReducer:
+        gamma = _check_gamma(gamma)
+        if k > data.p:
+            raise ValueError(f"K={k} exceeds P={data.p}")
+        hyper = {"gamma": gamma}
         if gamma == 0.0:  # raises where X^T y vanishes, as PLS does
             _supervised_direction(w, math.sqrt(float(np.trace(cov)) * yy), 1)
-        if gamma == 0.0 or (_is_isotropic(cov) and np.linalg.norm(w) > 0):
-            basis = _rank1_completed_basis(w, cov, k)
+        if gamma == 0.0 or (isotropic and not math.isinf(gamma)):
+            if k not in completed:
+                completed[k] = _rank1_completed_basis(w, cov, k)
+            basis = completed[k].copy()
             hyper["degenerate_completion"] = k > 1
         else:
-            basis = sym_eig_topk(np.outer(w, w) + gamma * cov, k).vectors
-    return FittedReducer("barshan", k, basis=basis, hyperparams=hyper)
+            if gamma not in vectors:
+                vectors[gamma] = sym_eig_topk(
+                    cov if math.isinf(gamma) else np.outer(w, w) + gamma * cov,
+                    top).vectors
+            basis = vectors[gamma][:, :k].copy(order="K")
+        return FittedReducer("barshan", k, basis=basis, hyperparams=hyper)
+
+    out = {}
+    for k in ks:
+        try:
+            out[k] = [fit(k, gamma) for gamma in gammas]
+        except Exception as exc:
+            out[k] = exc
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .data import Dataset, FittedReducer, json_safe, reduce
-from .intrinsic import (fit_barshan_extended, fit_lspca_sweep, fit_pls_grid,
+from .intrinsic import (fit_barshan_sweep, fit_lspca_sweep, fit_pls_grid,
                         fit_sppca)
 from .linalg import DegenerateDirectionError
 from .regression import RegressionModel, mse, ols_fit, select_candidate
@@ -109,7 +109,8 @@ def _prefixes(fit: Callable[[Dataset, int, list], list]) -> Callable:
 # so a function rebound here (e.g. by a tracer) is the one that runs.
 # Barshan does not take prefixes: at gamma = 0 its completion orthonormalizes
 # the trailing columns together, and the first columns of that are not
-# bitwise the completion at a smaller K.
+# bitwise the completion at a smaller K; its sweep shares each gamma > 0's
+# eigensolve across the Ks instead.
 METHODS = {
     "ols": Method(_per_k(lambda d, k, gs: [None])),
     "pca": Method(_prefixes(lambda d, k, gs: [pca_reducer(d, k)])),
@@ -118,8 +119,8 @@ METHODS = {
     "pcps": Method(_prefixes(lambda d, k, gs: [fit_pcps(d, k)])),
     "pls": Method(_prefixes(lambda d, k, gs: fit_pls_grid(d, k, gs)),
                   GAMMA_NONNEGATIVE),
-    "barshan": Method(_per_k(lambda d, k, gs: [
-        fit_barshan_extended(d, k, g) for g in gs]), GAMMA_NONNEGATIVE),
+    "barshan": Method(lambda d, ks, gs: fit_barshan_sweep(d, ks, gs),
+                      GAMMA_NONNEGATIVE),
     "lspca": Method(lambda d, ks, gs: {
         k: [r for r, _ in fits] for k, fits in fit_lspca_sweep(d, ks, gs).items()},
         GAMMA_POSITIVE),
@@ -168,10 +169,11 @@ class MethodFit:
 
 
 def with_model(reducer: FittedReducer | None, train: Dataset) -> MethodFit:
-    """Fit the downstream least-squares model on the reduced training set."""
-    z = train.X if reducer is None else reduce(reducer, train.X)
+    """Fit the downstream least-squares model on the reduced training set,
+    from the split's one thin QR (``Dataset.factor``)."""
+    basis = np.eye(train.p) if reducer is None else reducer.basis
     hyper = {} if reducer is None else dict(reducer.hyperparams)
-    return MethodFit(reducer, ols_fit(z, train.y), hyper)
+    return MethodFit(reducer, ols_fit(basis, train.factor), hyper)
 
 
 def _gammas(name: str, val: Dataset | None, grid) -> list:

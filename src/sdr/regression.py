@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import Factor
+
 
 @dataclass(frozen=True)
 class RegressionModel:
@@ -20,19 +22,29 @@ class RegressionModel:
         return z @ self.coefficients
 
 
-def ols_fit(z: np.ndarray, y: np.ndarray) -> RegressionModel:
+def ols_fit(z: np.ndarray, y: np.ndarray | Factor) -> RegressionModel:
     """Minimum-norm least squares of y on the columns of z, without an
     intercept: features and response are fitted centered.
 
-    Pseudo-inverse semantics keep rank-deficient designs deterministic.
+    ``z`` is the N x K design and ``y`` the N-vector response; or ``y`` is a
+    dataset's ``Factor`` X = QR and ``z`` a P x K map B, for the design X B,
+    whose fit solves the K-column system (R B, Q^T y): the same minimizer,
+    without touching the N rows.  Either way singular values below
+    eps max(N, K) times the largest are dropped, so rank-deficient designs
+    stay deterministic.
     """
+    rows = None
+    if isinstance(y, Factor):
+        z, y, rows = y.r @ np.asarray(z, dtype=float), y.qty, y.n
     z = np.asarray(z, dtype=float)
     y = np.asarray(y, dtype=float)
     if z.ndim != 2 or y.ndim != 1 or z.shape[0] != len(y):
         raise ValueError(f"incompatible shapes {z.shape} and {y.shape}")
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(y))):
         raise ValueError("non-finite inputs")
-    coef, *_ = np.linalg.lstsq(z, y, rcond=None)
+    # lstsq's default cutoff, taken at the row count of the unreduced design
+    rcond = np.finfo(float).eps * max(rows or len(y), z.shape[1])
+    coef, *_ = np.linalg.lstsq(z, y, rcond=rcond)
     return RegressionModel(coefficients=coef)
 
 
@@ -47,7 +59,7 @@ def mse(predictions: np.ndarray, truth: np.ndarray) -> float:
 
 def moment_mse(bases: np.ndarray, fit, score) -> tuple[np.ndarray, np.ndarray]:
     """Moment-form MSE of each candidate basis and a bound on its distance
-    from the N-row score, without touching a row.
+    from the exact score, without touching a row.
 
     ``bases`` is a (g, P, K) stack of orthonormal bases U; ``fit`` and
     ``score`` are the ``Moments`` of the split the least-squares model is
@@ -56,10 +68,13 @@ def moment_mse(bases: np.ndarray, fit, score) -> tuple[np.ndarray, np.ndarray]:
     coefficients are c = A^-1 U^T w for A = U^T C U and the MSE is
     m = (y^T y - 2 c^T b + c^T G c) / n.
 
-    ``mse(ols_fit(X U, y).predict(X_s U), y_s)`` differs from m by rounding,
-    which delta = 1e3 eps T (1 + tr(C) / lambda_min(A)) bounds, with
-    T = (y^T y + 2 |c^T b| + c^T G c) / n: T covers cancellation in m, and
-    tr(C) / lambda_min(A) the conditioning of Z = X U and of forming it.
+    The exact score of U, ``mse(ols_fit(U, F).predict(X_s U), y_s)`` for
+    the fit split's thin QR F (``Dataset.factor``) and the scoring split's
+    rows X_s, y_s, is what ``methods._choose`` and ``wrappers.fit_bair``
+    compute.  It differs from m by rounding, which delta = 1e3 eps T (1 +
+    tr(C) / lambda_min(A)) bounds, with T = (y^T y + 2 |c^T b| + c^T G c) /
+    n: T covers cancellation in m, and tr(C) / lambda_min(A) the
+    conditioning of X U and of forming it.
     delta is inf where A is not positive definite.
     """
     u = np.asarray(bases, dtype=float)

@@ -46,9 +46,9 @@ def fit_bair(data: Dataset, k: int) -> FittedReducer:
     Scans M = K..P top-scoring variables, runs K-component PCA on each column
     submatrix, and keeps the M whose downstream OLS model has the lowest
     training MSE (ties go to smaller M); ``select_candidate`` fits only the
-    Ms its moment screen keeps.  The basis is embedded back into P
-    dimensions, zero outside the selection, so reduce() stays a plain
-    projection.
+    Ms its moment screen keeps, each from the split's thin QR.  The basis is
+    embedded back into P dimensions, zero outside the selection, so
+    reduce() stays a plain projection.
     """
     x, y = data.X, data.y
     n, p = x.shape
@@ -62,8 +62,7 @@ def fit_bair(data: Dataset, k: int) -> FittedReducer:
         bases[i, idx] = sym_eig_topk(cov[np.ix_(idx, idx)], k).vectors
 
     def train_mse(i: int) -> float:
-        z = x @ bases[i]
-        return mse(ols_fit(z, y).predict(z), y)
+        return mse(ols_fit(bases[i], data.factor).predict(x @ bases[i]), y)
 
     chosen = select_candidate(bases, data.moments, data.moments, train_mse, 0.0)
     if chosen is None:

@@ -5,10 +5,12 @@ import pytest
 
 from sdr import intrinsic
 from sdr.data import Dataset, reduce
-from sdr.intrinsic import (SppcaState, fit_barshan_extended, fit_lspca,
-                           fit_pls_extended, fit_sppca, fit_sppca_model,
-                           predict_sppca)
-from sdr.linalg import DegenerateDirectionError, orthonormalize, sym_eig_topk
+from sdr.intrinsic import (SppcaState, fit_barshan_extended,
+                           fit_barshan_sweep, fit_lspca, fit_pls_extended,
+                           fit_sppca, fit_sppca_model, predict_sppca)
+from sdr.linalg import (DegenerateDirectionError, RankDeficientError,
+                        orthonormalize, sym_eig_topk)
+from sdr.methods import DEFAULT_GAMMA_GRID
 
 
 def _centered(x, y):
@@ -169,6 +171,101 @@ class TestBarshan:
                 fit(data, k, 0.0)
             errors.append((exc.value.iteration, str(exc.value)))
         assert errors[0] == errors[1] == (1, "X^T y vanishes at iteration 1")
+
+
+def _barshan_one_fit(data, k, gamma):
+    """Barshan's basis at one (K, gamma) as it was computed before the
+    sweep: its own eigensolve at K, or the rank-1 completion."""
+    cov, w = data.moments.xx, data.moments.xy
+    if math.isinf(gamma):
+        return sym_eig_topk(cov, k).vectors
+    if gamma == 0.0 or (intrinsic._is_isotropic(cov) and np.linalg.norm(w) > 0):
+        return intrinsic._rank1_completed_basis(w, cov, k)
+    return sym_eig_topk(np.outer(w, w) + gamma * cov, k).vectors
+
+
+class TestBarshanSweep:
+    """One eigensolve per gamma > 0 at the sweep's largest K, its first K
+    columns each K's basis; one rank-1 completion per K."""
+
+    def _count(self, monkeypatch):
+        counts = {"eig": 0, "completion": 0}
+        for attr, key in (("sym_eig_topk", "eig"),
+                          ("_rank1_completed_basis", "completion")):
+            fn = getattr(intrinsic, attr)
+
+            def counted(*args, fn=fn, key=key):
+                counts[key] += 1
+                return fn(*args)
+            monkeypatch.setattr(intrinsic, attr, counted)
+        return counts
+
+    @pytest.mark.parametrize("make", [
+        lambda: _random_dataset(30),
+        lambda: _whitened_dataset(31),
+        lambda: _random_dataset(32, n=12, p=16)])  # P > N
+    def test_each_k_is_its_one_k_fit(self, make):
+        data = make()
+        ks = range(1, data.p + 1)
+        sweep = fit_barshan_sweep(data, ks, DEFAULT_GAMMA_GRID)
+        assert list(sweep) == list(ks)
+        for k in ks:
+            assert len(sweep[k]) == len(DEFAULT_GAMMA_GRID)
+            for gamma, got in zip(DEFAULT_GAMMA_GRID, sweep[k]):
+                want = _barshan_one_fit(data, k, gamma)
+                for layout in ("C_CONTIGUOUS", "F_CONTIGUOUS"):
+                    assert got.basis.flags[layout] == want.flags[layout]
+                assert got.basis.tobytes() == want.tobytes()
+                alone = fit_barshan_extended(data, k, gamma)
+                assert alone.basis.tobytes() == want.tobytes()
+                assert got.hyperparams == alone.hyperparams
+                assert got.hyperparams["gamma"] == gamma
+
+    def test_one_eigensolve_per_gamma(self, monkeypatch):
+        """P = 8, K = 1..8 over the 17-point grid: 16 eigensolves for the
+        gammas > 0 and 8 completions for gamma = 0, of which K = 2..8 solve
+        once each; the one-(K, gamma) fits took 8 x 16 and 8."""
+        data = _random_dataset(33)
+        counts = self._count(monkeypatch)
+        fit_barshan_sweep(data, range(1, 9), DEFAULT_GAMMA_GRID)
+        assert counts == {"eig": 16 + 7, "completion": 8}
+
+    def test_whitened_completion_once_per_k(self, monkeypatch):
+        """On whitened data every finite gamma takes the rank-1 completion:
+        once per K, not once per finite gamma (16 per K)."""
+        data = _whitened_dataset(34)
+        counts = self._count(monkeypatch)
+        fit_barshan_sweep(data, range(1, 11), DEFAULT_GAMMA_GRID)
+        assert counts == {"eig": 1 + 9, "completion": 10}
+
+    def test_each_k_keeps_its_own_error(self, monkeypatch):
+        data = _random_dataset(35)
+        completion = intrinsic._rank1_completed_basis
+
+        def failing(w, cov, k):
+            if k == 3:
+                raise RankDeficientError(2)
+            return completion(w, cov, k)
+        monkeypatch.setattr(intrinsic, "_rank1_completed_basis", failing)
+        sweep = fit_barshan_sweep(data, [1, 3, 9, 2], DEFAULT_GAMMA_GRID)
+        assert list(sweep) == [1, 3, 9, 2]
+        assert isinstance(sweep[3], RankDeficientError)
+        assert isinstance(sweep[9], ValueError)
+        assert str(sweep[9]) == "K=9 exceeds P=8"
+        for k in (1, 2):
+            assert [r.basis.tobytes() for r in sweep[k]] == [
+                _barshan_one_fit(data, k, g).tobytes() for g in DEFAULT_GAMMA_GRID]
+        with pytest.raises(RankDeficientError):
+            fit_barshan_extended(data, 3, 0.0)
+        assert fit_barshan_extended(data, 3, 1.0).k == 3
+        with pytest.raises(ValueError, match="K=9 exceeds P=8"):
+            fit_barshan_extended(data, 9, 1.0)
+
+    def test_a_bad_gamma_is_every_ks_error(self):
+        sweep = fit_barshan_sweep(_random_dataset(36), [1, 2], [1.0, -1.0])
+        for k in (1, 2):
+            assert isinstance(sweep[k], ValueError)
+            assert str(sweep[k]) == "gamma must be >= 0 or math.inf, got -1.0"
 
 
 class TestExtendedBarshan:

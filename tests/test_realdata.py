@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import math
 import weakref
@@ -6,7 +7,8 @@ import weakref
 import numpy as np
 import pytest
 
-from sdr import methods
+from sdr import methods, wrappers
+from sdr.data import Dataset
 from sdr.realdata import (RealDataConfig, curves_to_csv, result_to_json,
                           run_real_data, spectrum_to_csv)
 
@@ -125,6 +127,30 @@ def test_one_method_fitted_at_a_time(linear_csv, monkeypatch):
         (m, k) for k in (1, 2, 3) for m in ("pca", "pls")]
     assert all(pt.error is None for pt in result.points)
     assert len(first) == 3 and not alive_at_second
+
+
+def test_one_thin_qr_per_training_split(linear_csv, monkeypatch):
+    """Every least-squares fit of a pass (each gamma candidate scored, each
+    chosen fit and each Bair M) solves from the training split's one QR."""
+    factored, fits = [], []
+    real_factor = Dataset.factor.func
+
+    def factor(data):
+        factored.append(data)
+        return real_factor(data)
+    counted = functools.cached_property(factor)
+    counted.__set_name__(Dataset, "factor")
+    monkeypatch.setattr(Dataset, "factor", counted)
+    for module in (methods, wrappers):
+        real_ols_fit = module.ols_fit
+        monkeypatch.setattr(module, "ols_fit", lambda z, y, real=real_ols_fit:
+                            fits.append(y) or real(z, y))
+    result = run_real_data(RealDataConfig(path=str(linear_csv),
+                                          response="target", delimiter=";"))
+    assert all(pt.error is None for pt in result.points)
+    assert len(factored) == 1
+    assert len(fits) > len(result.points)
+    assert all(y is factored[0].factor for y in fits)
 
 
 def test_k_range_validation():

@@ -99,7 +99,8 @@ def _check_choose(name, train, val, gammas, fits):
 
 def _brute_bair(data, k):
     """Bair's choice of M scoring every M on the rows, as before the screen:
-    the lowest training MSE, the smaller M on a tie."""
+    the lowest training MSE of the model fitted from the split's thin QR,
+    the smaller M on a tie."""
     x, y = data.X, data.y
     p = data.p
     _, order = score_variables(x, y)
@@ -108,8 +109,7 @@ def _brute_bair(data, k):
         idx = order[:m]
         basis = np.zeros((p, k))
         basis[idx] = sym_eig_topk(data.moments.xx[np.ix_(idx, idx)], k).vectors
-        z = x @ basis
-        candidate_mse = mse(ols_fit(z, y).predict(z), y)
+        candidate_mse = mse(ols_fit(basis, data.factor).predict(x @ basis), y)
         if candidate_mse < best_mse:
             best_mse, best_m, best_basis = candidate_mse, m, basis
     return best_m, best_mse, best_basis
@@ -207,8 +207,8 @@ class TestScreenIsSound:
         for k in range(1, min(train.p, 12) + 1):
             fit_bair(train, k)
         for bases in stacks:
-            exact = [mse(ols_fit(z, train.y).predict(z), train.y)
-                     for z in (train.X @ basis for basis in bases)]
+            exact = [mse(ols_fit(basis, train.factor).predict(train.X @ basis),
+                         train.y) for basis in bases]
             self._check(bases, train.moments, train.moments, exact, 0.0)
 
 

@@ -96,8 +96,7 @@ class TestBair:
             u = sym_eig_topk(data.X[:, idx].T @ data.X[:, idx], 1).vectors
             basis = np.zeros((3, 1))
             basis[idx] = u
-            z = data.X @ basis
-            err = mse(ols_fit(z, data.y).predict(z), data.y)
+            err = mse(ols_fit(basis, data.factor).predict(data.X @ basis), data.y)
             if best is None or err < best[0]:
                 best = (err, m)
         assert reducer.hyperparams["m"] == best[1]
@@ -117,8 +116,7 @@ class TestBair:
         data = _random_dataset(3)
         reducer = fit_bair(data, 3)
         pca = sym_eig_topk(data.X.T @ data.X, 3).vectors  # the M=P candidate
-        z_full = data.X @ pca
-        full_mse = mse(ols_fit(z_full, data.y).predict(z_full), data.y)
+        full_mse = mse(ols_fit(pca, data.factor).predict(data.X @ pca), data.y)
         assert reducer.hyperparams["selection_mse"] <= full_mse + 1e-12
 
     def test_orthonormal_embedded_basis(self):
