@@ -46,8 +46,10 @@ class Moments(NamedTuple):
 
 
 class Factor(NamedTuple):
-    """A thin QR X = QR of a dataset's rows, kept as R, Q^T y and the row
-    count n, read-only."""
+    """The triangular factor of a dataset's rows, read-only: the R of the
+    QR of [X y], split into its first P columns ``r`` and its last column
+    ``qty`` (Q^T y), with the row count n.  For any P x K map B and
+    coefficients c, |X B c - y| = |r B c - qty|."""
 
     r: np.ndarray
     qty: np.ndarray
@@ -95,11 +97,10 @@ class Dataset:
 
     @cached_property
     def factor(self) -> Factor:
-        """One thin QR of the rows, shared by every least-squares fit on this
-        dataset; X and y must not change.  The R of [X y] holds R and Q^T y
-        in its first min(N, P) rows."""
-        m = min(self.n, self.p)
-        ry = np.linalg.qr(np.column_stack([self.X, self.y]), mode="r")[:m]
+        """One QR of the rows, shared by every least-squares fit and score
+        on this dataset; X and y must not change.  All min(N, P + 1) rows
+        of the R of [X y] are kept, the residual row of y included."""
+        ry = np.linalg.qr(np.column_stack([self.X, self.y]), mode="r")
         r, qty = ry[:, :-1].copy(), ry[:, -1].copy()
         r.flags.writeable = qty.flags.writeable = False
         return Factor(r, qty, self.n)

@@ -19,7 +19,8 @@ from .data import Dataset, FittedReducer, json_safe, reduce
 from .intrinsic import (fit_barshan_sweep, fit_lspca_sweep, fit_pls_grid,
                         fit_sppca)
 from .linalg import DegenerateDirectionError
-from .regression import RegressionModel, mse, ols_fit, select_candidate
+from .regression import (RegressionModel, factor_mse, mse, ols_fit, ols_stack,
+                         select_candidate)
 from .wrappers import fit_bair, fit_pcps, fit_pv
 
 #: Validation grid for the balance hyperparameter.
@@ -170,7 +171,7 @@ class MethodFit:
 
 def with_model(reducer: FittedReducer | None, train: Dataset) -> MethodFit:
     """Fit the downstream least-squares model on the reduced training set,
-    from the split's one thin QR (``Dataset.factor``)."""
+    from the split's one QR (``Dataset.factor``)."""
     basis = np.eye(train.p) if reducer is None else reducer.basis
     hyper = {} if reducer is None else dict(reducer.hyperparams)
     return MethodFit(reducer, ols_fit(basis, train.factor), hyper)
@@ -204,26 +205,22 @@ def _choose(name: str, gammas: list, outcome, train: Dataset,
             val: Dataset | None) -> MethodFit:
     """The fit of ``unwrap(outcome)``: the one reducer of a method without
     gamma, else the one with the lowest finite validation MSE, the earliest
-    grid point among those tied within ``TIE_RTOL``.  Only the gammas that
-    the moment screen of ``select_candidate`` keeps are fitted and scored
-    on the rows."""
+    grid point among those tied within ``TIE_RTOL``.  Every gamma's model
+    comes from one stacked solve on ``train.factor`` and is scored exactly
+    from ``val.factor``; the chosen model keeps the stacked coefficients."""
     reducers = unwrap(outcome)
     if gammas == [None]:
         return with_model(reducers[0], train)
-    fits = {}
-
-    def val_mse(i: int) -> float:
-        fits[i] = with_model(reducers[i], train)
-        return fits[i].evaluate(val)
-
-    chosen = select_candidate(np.stack([r.basis for r in reducers]),
-                              train.moments, val.moments, val_mse, TIE_RTOL)
-    if chosen is None:
+    bases = np.stack([r.basis for r in reducers])
+    coefficients = ols_stack(bases, train.factor)
+    scores = factor_mse(bases, coefficients, val.factor)
+    i = select_candidate(scores, TIE_RTOL)
+    if i is None:
         raise ValueError(f"{name}: no gamma in the grid gives a finite "
                          "validation MSE")
-    i, score = chosen
-    fits[i].hyperparams.update({"gamma": gammas[i], "val_mse": score})
-    return fits[i]
+    return MethodFit(reducers[i], RegressionModel(coefficients[i]),
+                     {**reducers[i].hyperparams, "gamma": gammas[i],
+                      "val_mse": float(scores[i])})
 
 
 def fit_method(name: str, train: Dataset, val: Dataset | None, k: int, *,

@@ -1,7 +1,6 @@
 """Downstream least-squares predictor, MSE evaluation, and the choice among
 candidate bases by that MSE."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,25 +26,42 @@ def ols_fit(z: np.ndarray, y: np.ndarray | Factor) -> RegressionModel:
     intercept: features and response are fitted centered.
 
     ``z`` is the N x K design and ``y`` the N-vector response; or ``y`` is a
-    dataset's ``Factor`` X = QR and ``z`` a P x K map B, for the design X B,
-    whose fit solves the K-column system (R B, Q^T y): the same minimizer,
-    without touching the N rows.  Either way singular values below
-    eps max(N, K) times the largest are dropped, so rank-deficient designs
-    stay deterministic.
+    dataset's ``Factor`` and ``z`` a P x K map B, for the design X B: the
+    one-basis case of ``ols_stack``.  Singular values below eps max(N, K)
+    times the largest are dropped, so rank-deficient designs stay
+    deterministic.
     """
-    rows = None
     if isinstance(y, Factor):
-        z, y, rows = y.r @ np.asarray(z, dtype=float), y.qty, y.n
+        return RegressionModel(ols_stack(np.asarray(z, dtype=float)[None], y)[0])
     z = np.asarray(z, dtype=float)
     y = np.asarray(y, dtype=float)
     if z.ndim != 2 or y.ndim != 1 or z.shape[0] != len(y):
         raise ValueError(f"incompatible shapes {z.shape} and {y.shape}")
-    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(y))):
+    return RegressionModel(_lstsq(z[None], y, len(y))[0])
+
+
+def ols_stack(bases: np.ndarray, factor: Factor) -> np.ndarray:
+    """The (g, K) coefficients of ``ols_fit(B, factor)`` for each map B of a
+    (g, P, K) stack, from one stacked SVD of the K-column systems (r B,
+    Q^T y): the minimizers of |X B c - y|, without touching the N rows."""
+    bases = np.asarray(bases, dtype=float)
+    if bases.ndim != 3 or bases.shape[1] != factor.r.shape[1]:
+        raise ValueError(f"incompatible shapes {bases.shape} and {factor.r.shape}")
+    # one memory layout, so each slice rounds as its basis solved alone
+    return _lstsq(factor.r @ np.ascontiguousarray(bases), factor.qty, factor.n)
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray, rows: int) -> np.ndarray:
+    """Minimum-norm solutions of min |a_i c - b| for a (g, m, K) stack,
+    dropping singular values at or below lstsq's default cutoff taken at
+    the row count of the unreduced design, eps max(rows, K) times the
+    largest."""
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("non-finite inputs")
-    # lstsq's default cutoff, taken at the row count of the unreduced design
-    rcond = np.finfo(float).eps * max(rows or len(y), z.shape[1])
-    coef, *_ = np.linalg.lstsq(z, y, rcond=rcond)
-    return RegressionModel(coefficients=coef)
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(rows, a.shape[2]) * s[:, :1]
+    ub = np.divide(np.swapaxes(u, 1, 2) @ b, s, out=np.zeros_like(s), where=keep)
+    return (np.swapaxes(vt, 1, 2) @ ub[..., None])[..., 0]
 
 
 def mse(predictions: np.ndarray, truth: np.ndarray) -> float:
@@ -57,68 +73,21 @@ def mse(predictions: np.ndarray, truth: np.ndarray) -> float:
     return float(diff @ diff / len(truth))
 
 
-def moment_mse(bases: np.ndarray, fit, score) -> tuple[np.ndarray, np.ndarray]:
-    """Moment-form MSE of each candidate basis and a bound on its distance
-    from the exact score, without touching a row.
-
-    ``bases`` is a (g, P, K) stack of orthonormal bases U; ``fit`` and
-    ``score`` are the ``Moments`` of the split the least-squares model is
-    fitted on and of the split it is scored on.  With C, w the fit split's
-    X^T X, X^T y and G, b the scoring split's U^T X^T X U, U^T X^T y, the
-    coefficients are c = A^-1 U^T w for A = U^T C U and the MSE is
-    m = (y^T y - 2 c^T b + c^T G c) / n.
-
-    The exact score of U, ``mse(ols_fit(U, F).predict(X_s U), y_s)`` for
-    the fit split's thin QR F (``Dataset.factor``) and the scoring split's
-    rows X_s, y_s, is what ``methods._choose`` and ``wrappers.fit_bair``
-    compute.  It differs from m by rounding, which delta = 1e3 eps T (1 +
-    tr(C) / lambda_min(A)) bounds, with T = (y^T y + 2 |c^T b| + c^T G c) /
-    n: T covers cancellation in m, and tr(C) / lambda_min(A) the
-    conditioning of X U and of forming it.
-    delta is inf where A is not positive definite.
-    """
-    u = np.asarray(bases, dtype=float)
-    ut = np.swapaxes(u, 1, 2)
-    with np.errstate(all="ignore"):
-        lam, vec = np.linalg.eigh(ut @ fit.xx @ u)
-        r = np.swapaxes(vec, 1, 2) @ (ut @ fit.xy)[..., None]
-        c = (vec @ (r / lam[..., None]))[..., 0]
-        cb = np.einsum("gk,gk->g", c, ut @ score.xy)
-        cgc = np.einsum("gk,gkl,gl->g", c, ut @ score.xx @ u, c)
-        m = (score.yy - 2.0 * cb + cgc) / score.n
-        t = (score.yy + 2.0 * np.abs(cb) + cgc) / score.n
-        delta = 1e3 * np.finfo(float).eps * t * (1.0 + np.trace(fit.xx) / lam[:, 0])
-    return m, np.where(lam[:, 0] > 0, delta, np.inf)
+def factor_mse(bases: np.ndarray, coefficients: np.ndarray,
+               factor: Factor) -> np.ndarray:
+    """The MSE of each model (B_i, c_i) of a (g, P, K) stack of maps and a
+    (g, K) stack of coefficients on the dataset whose ``Factor`` is given,
+    from |X B c - y|^2 = |r B c - Q^T y|^2: exact at any N, P + 1 rows or
+    fewer, without touching the N rows."""
+    resid = (factor.r @ (bases @ coefficients[..., None]))[..., 0] - factor.qty
+    return np.sum(resid * resid, axis=1) / factor.n
 
 
-def select_candidate(bases: np.ndarray, fit, score, exact, rtol: float):
-    """``(i, exact(i))`` for the earliest candidate whose N-row score
-    ``exact(i)`` is finite and within ``rtol`` of the lowest finite one, or
-    None if no score is finite.
-
-    Only candidates whose ``moment_mse`` interval could reach the rule's
-    cutoff are scored: i is dropped when m_i - delta_i > min(m + delta) *
-    (1 + rtol), for its score then exceeds the cutoff.  Every candidate is
-    scored, as without the screen, when a moment score or bound is not
-    finite or no kept candidate's score is.  A candidate bitwise equal to
-    one already scored takes its score without a call to ``exact``.
-    """
-    m, delta = moment_mse(bases, fit, score)
-    keep = range(len(m))
-    if np.all(np.isfinite(m) & np.isfinite(delta)):
-        keep = np.flatnonzero(m - delta <= np.min(m + delta) * (1.0 + rtol))
-    scores = {}  # a basis's bytes -> its score
-
-    def exact_once(i: int) -> float:
-        key = bases[i].tobytes()
-        if key not in scores:
-            scores[key] = exact(i)
-        return scores[key]
-    scored = [(s, i) for i in keep if math.isfinite(s := exact_once(i))]
-    if not scored:
-        scored = [(s, i) for i in sorted(set(range(len(m))) - set(keep))
-                  if math.isfinite(s := exact_once(i))]
-    if not scored:
+def select_candidate(scores: np.ndarray, rtol: float) -> int | None:
+    """The earliest candidate whose score is finite and within ``rtol`` of
+    the lowest finite one, or None if no score is finite."""
+    finite = np.isfinite(scores)
+    if not finite.any():
         return None
-    cutoff = min(s for s, _ in scored) * (1.0 + rtol)
-    return next((int(i), s) for s, i in scored if s <= cutoff)
+    cutoff = scores[finite].min() * (1.0 + rtol)
+    return int(np.flatnonzero(finite & (scores <= cutoff))[0])

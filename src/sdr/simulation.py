@@ -286,25 +286,26 @@ def report_to_json(report: BenchReport) -> str:
 
 
 def report_to_table(report: BenchReport) -> str:
-    """Human-readable methods x settings table, 'train / test' cells."""
+    """Human-readable methods x settings table, 'train / test' cells.  Each
+    column is as wide as its widest cell or header plus two, and at least
+    14, so no two cells touch."""
     out = []
     for spectrum in dict.fromkeys(s.spectrum for s in report.settings):
         rows = [s for s in report.settings if s.spectrum == spectrum]
-        headers = [f"{s.alignment}/{s.n_train}" for s in rows]
         methods = [m.method for m in rows[0].methods]
-        width = max(14, *(len(h) + 2 for h in headers))
-        out.append(f"== spectrum: {spectrum} (cells: train / test MSE) ==")
-        out.append("method".ljust(10) + "".join(h.rjust(width) for h in headers))
-        for method in methods:
-            cells = []
-            for s in rows:
+        columns = []  # per setting: header, then one cell per method
+        for s in rows:
+            column = [f"{s.alignment}/{s.n_train}"]
+            for method in methods:
                 summary = next(m for m in s.methods if m.method == method)
-                if summary.mean_test_mse is None:
-                    cells.append("failed".rjust(width))
-                else:
-                    cells.append(f"{summary.mean_train_mse:.3f} / "
-                                 f"{summary.mean_test_mse:.3f}".rjust(width))
-            out.append(method.ljust(10) + "".join(cells))
+                column.append("failed" if summary.mean_test_mse is None else
+                              f"{summary.mean_train_mse:.3f} / "
+                              f"{summary.mean_test_mse:.3f}")
+            width = max(14, *(len(cell) + 2 for cell in column))
+            columns.append([cell.rjust(width) for cell in column])
+        out.append(f"== spectrum: {spectrum} (cells: train / test MSE) ==")
+        for label, cells in zip(["method"] + methods, zip(*columns)):
+            out.append(label.ljust(10) + "".join(cells))
         out.append("")
     return "\n".join(out)
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import Dataset, FittedReducer
 from .linalg import DegenerateDirectionError, sym_eig_top1, sym_eig_topk
-from .regression import mse, ols_fit, select_candidate
+from .regression import factor_mse, ols_stack, select_candidate
 
 
 def _pearson_pair(z: np.ndarray, y: np.ndarray) -> float:
@@ -45,10 +45,10 @@ def fit_bair(data: Dataset, k: int) -> FittedReducer:
 
     Scans M = K..P top-scoring variables, runs K-component PCA on each column
     submatrix, and keeps the M whose downstream OLS model has the lowest
-    training MSE (ties go to smaller M); ``select_candidate`` fits only the
-    Ms its moment screen keeps, each from the split's thin QR.  The basis is
-    embedded back into P dimensions, zero outside the selection, so
-    reduce() stays a plain projection.
+    training MSE (ties go to smaller M): one stacked solve on the split's
+    ``Dataset.factor`` fits every M, and the same factor scores it exactly.
+    The basis is embedded back into P dimensions, zero outside the
+    selection, so reduce() stays a plain projection.
     """
     x, y = data.X, data.y
     n, p = x.shape
@@ -60,17 +60,13 @@ def fit_bair(data: Dataset, k: int) -> FittedReducer:
     for i, m in enumerate(range(k, p + 1)):
         idx = order[:m]
         bases[i, idx] = sym_eig_topk(cov[np.ix_(idx, idx)], k).vectors
-
-    def train_mse(i: int) -> float:
-        return mse(ols_fit(bases[i], data.factor).predict(x @ bases[i]), y)
-
-    chosen = select_candidate(bases, data.moments, data.moments, train_mse, 0.0)
-    if chosen is None:
+    scores = factor_mse(bases, ols_stack(bases, data.factor), data.factor)
+    i = select_candidate(scores, 0.0)
+    if i is None:
         raise ValueError(f"K={k}: no M gives a finite training MSE")
-    i, best_mse = chosen
     return FittedReducer("bair", k, basis=bases[i].copy(),
                          hyperparams={"m": k + i, "score": "pearson",
-                                      "selection_mse": best_mse})
+                                      "selection_mse": float(scores[i])})
 
 
 def fit_pv(data: Dataset, k: int) -> FittedReducer:

@@ -19,7 +19,7 @@ import pytest
 
 from sdr.data import Dataset, Factor, center_dataset, fit_centering
 from sdr.linalg import sym_eig_topk
-from sdr.regression import ols_fit
+from sdr.regression import factor_mse, mse, ols_fit, ols_stack
 
 RTOL = 1e-10
 EPS = np.finfo(float).eps
@@ -72,11 +72,20 @@ def ill_conditioned(seed, noise, n=200, p=12):
     return _splits(x, y, n // 5)
 
 
+def short_validation(seed, n=150, p=40):
+    """A tall fit split and a 30-row validation split, fewer rows than
+    P + 1, as a P = 100 trial's."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p)) @ rng.standard_normal((p, p))
+    return _splits(x, x[:, :3].sum(axis=1) + 0.5 * rng.standard_normal(n), 30)
+
+
 FAMILIES = {
     **{f"wine-{s}": (lambda s=s: wine_shaped(s)) for s in (5, 6)},
     **{f"p-above-n-{s}": (lambda s=s: p_above_n(s)) for s in (1, 2)},
     "duplicated-column": lambda: duplicated_column(3),
     "constant-column": lambda: constant_column(4),
+    "short-validation": lambda: short_validation(5),
 }
 ILL = {f"ill-{s}-{noise}": (lambda s=s, noise=noise: ill_conditioned(s, noise))
        for s in range(3) for noise in (1e-6, 1.0)}
@@ -130,6 +139,34 @@ def test_ill_conditioned_agreement_follows_the_condition_number(family):
     assert worst > 0.0  # the two solves differ here, by rounding
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_factor_score_is_the_row_mse(family):
+    """|X B c - y|^2 / n = |r B c - Q^T y|^2 / n on the fit split and on the
+    held-out split: tall and wide splits, a held-out split with fewer rows
+    than P + 1, and duplicated or constant columns."""
+    train, val = FAMILIES[family]()
+    for data in (train, val):
+        assert data.factor.r.shape[0] == min(data.n, data.p + 1)
+    for basis in _bases(train):
+        coef = ols_fit(basis, train.factor).coefficients
+        for data in (train, val):
+            score = factor_mse(basis[None], coef[None], data.factor)[0]
+            row = mse(data.X @ (basis @ coef), data.y)
+            # an interpolating fit (K >= N) leaves rounding alone: its MSE
+            # is compared at 1e-12 of y's
+            assert abs(score - row) <= 1e-12 * max(row, 1e-12 * data.moments.yy / data.n)
+
+
+def test_stacked_solve_is_each_single_solve():
+    """Each slice of one stacked solve is, bit for bit, the fit of that
+    basis alone."""
+    train, _ = wine_shaped(5)
+    bases = np.stack([b for b in _bases(train) if b.shape[1] == 4])
+    coefficients = ols_stack(bases, train.factor)
+    for basis, coef in zip(bases, coefficients):
+        assert np.array_equal(ols_fit(basis, train.factor).coefficients, coef)
+
+
 def test_rank_decisions_on_singular_designs():
     """A duplicated column and a constant one each cost the raw design one
     rank at K = P; P > N designs stop at the fit rows' rank."""
@@ -164,15 +201,19 @@ def test_duplicated_columns_split_weight():
 
 class TestFactor:
     def test_is_a_thin_qr_of_the_rows(self):
+        """All min(N, P + 1) rows of the R of [X y]: its Gram matrix is that
+        of [X y], y^T y included, so the residual row is kept."""
         for train, _ in (wine_shaped(5), p_above_n(1)):
             factor = train.factor
-            m = min(train.n, train.p)
+            m = min(train.n, train.p + 1)
             assert factor.r.shape == (m, train.p) and factor.qty.shape == (m,)
             assert factor.n == train.n
-            assert np.allclose(np.triu(factor.r), factor.r, rtol=0, atol=0)
+            assert np.array_equal(np.triu(factor.r), factor.r)
             gram = factor.r.T @ factor.r
             assert _rel(gram, train.moments.xx) <= 1e-12
             assert _rel(factor.r.T @ factor.qty, train.moments.xy) <= 1e-12
+            assert abs(factor.qty @ factor.qty - train.moments.yy) <= \
+                1e-12 * train.moments.yy
 
     def test_cached_and_read_only(self):
         train, _ = wine_shaped(5)

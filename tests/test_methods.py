@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import sdr.methods as methods
-import sdr.regression as regression
 from sdr.cli import _methods
 from sdr.data import ORTHONORMAL_BASIS, Dataset
 from sdr.methods import (DEFAULT_GAMMA_GRID, DEFAULT_METHODS, GAMMA_NONNEGATIVE,
@@ -79,33 +78,27 @@ class TestGammaTuning:
             fit_method(name, train, val, 2)
 
     @staticmethod
-    def _inject(monkeypatch, moment_scores, row_scores):
+    def _inject(monkeypatch, scores):
         """Score the pls candidates of DEFAULT_GAMMA_GRID, in grid order, by
-        ``moment_scores`` on the moments (with a zero bound) and by
-        ``row_scores`` on the rows; return the gammas scored on the rows."""
-        by_gamma = dict(zip(DEFAULT_GAMMA_GRID, row_scores))
-        monkeypatch.setattr(regression, "moment_mse", lambda *args: (
-            np.array(moment_scores), np.zeros(len(moment_scores))))
-        scored = []
+        ``scores``; return the sizes of the stacks scored."""
+        stacks = []
 
-        def evaluate(fit, data):
-            scored.append(fit.hyperparams["gamma"])
-            return by_gamma[scored[-1]]
+        def factor_mse(bases, coefficients, factor):
+            stacks.append(len(bases))
+            return np.array(scores)
 
-        monkeypatch.setattr(methods.MethodFit, "evaluate", evaluate)
-        return scored
+        monkeypatch.setattr(methods, "factor_mse", factor_mse)
+        return stacks
 
     def test_non_finite_candidate_is_skipped(self, monkeypatch):
-        # the screen keeps the first gamma alone; its score on the rows is
-        # NaN, so it is skipped and the other gammas are scored instead
+        # the first gamma's score is NaN, so it is passed over and the
+        # lowest finite score wins
         train, val = _train_val()
-        scores = [1.0, 3.0, 2.0] + [4.0] * 14
-        scored = self._inject(monkeypatch, scores, [math.nan] + scores[1:])
+        stacks = self._inject(monkeypatch, [math.nan, 3.0, 2.0] + [4.0] * 14)
         fit = fit_method("pls", train, val, 2)
-        assert fit.hyperparams["gamma"] != DEFAULT_GAMMA_GRID[0]
-        assert math.isfinite(fit.hyperparams["val_mse"])
         assert fit.hyperparams["gamma"] == DEFAULT_GAMMA_GRID[2]
-        assert scored == list(DEFAULT_GAMMA_GRID)
+        assert fit.hyperparams["val_mse"] == 2.0
+        assert stacks == [len(DEFAULT_GAMMA_GRID)]
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("name", ["pls", "barshan", "lspca"])
@@ -120,12 +113,12 @@ class TestGammaTuning:
     def test_near_ties_go_to_the_earliest_gamma(self, monkeypatch):
         train, val = _train_val()
         scores = [2.0, 1.0 + 5e-11, 1.0, 1.0 + 2e-10] + [3.0] * 13
-        scored = self._inject(monkeypatch, scores, scores)
+        stacks = self._inject(monkeypatch, scores)
         fit = fit_method("pls", train, val, 2)
         assert fit.hyperparams["gamma"] == DEFAULT_GAMMA_GRID[1]
         assert fit.hyperparams["val_mse"] == 1.0 + 5e-11
-        # only the two candidates within TIE_RTOL of the best are scored
-        assert scored == list(DEFAULT_GAMMA_GRID[1:3])
+        # every candidate is scored, in one stack
+        assert stacks == [len(DEFAULT_GAMMA_GRID)]
 
     def test_empty_in_domain_grid_names_method_and_domain(self, monkeypatch):
         train, val = _train_val()

@@ -130,9 +130,11 @@ def test_one_method_fitted_at_a_time(linear_csv, monkeypatch):
 
 
 def test_one_thin_qr_per_training_split(linear_csv, monkeypatch):
-    """Every least-squares fit of a pass (each gamma candidate scored, each
-    chosen fit and each Bair M) solves from the training split's one QR."""
-    factored, fits = [], []
+    """A pass factors its fit split once and its validation split once.
+    Every least-squares fit (each gamma stack, each chosen fit and each
+    Bair stack) solves from the fit split's factor, and every gamma stack
+    is scored from the validation split's."""
+    factored, solved, scored = [], [], []
     real_factor = Dataset.factor.func
 
     def factor(data):
@@ -142,15 +144,23 @@ def test_one_thin_qr_per_training_split(linear_csv, monkeypatch):
     counted.__set_name__(Dataset, "factor")
     monkeypatch.setattr(Dataset, "factor", counted)
     for module in (methods, wrappers):
-        real_ols_fit = module.ols_fit
-        monkeypatch.setattr(module, "ols_fit", lambda z, y, real=real_ols_fit:
-                            fits.append(y) or real(z, y))
+        real_stack = module.ols_stack
+        monkeypatch.setattr(module, "ols_stack", lambda b, f, real=real_stack:
+                            solved.append(f) or real(b, f))
+    real_ols_fit = methods.ols_fit
+    monkeypatch.setattr(methods, "ols_fit", lambda b, f:
+                        solved.append(f) or real_ols_fit(b, f))
+    real_score = methods.factor_mse
+    monkeypatch.setattr(methods, "factor_mse", lambda b, c, f:
+                        scored.append(f) or real_score(b, c, f))
     result = run_real_data(RealDataConfig(path=str(linear_csv),
                                           response="target", delimiter=";"))
     assert all(pt.error is None for pt in result.points)
-    assert len(factored) == 1
-    assert len(fits) > len(result.points)
-    assert all(y is factored[0].factor for y in fits)
+    assert len(factored) == 2
+    fit_split, val_split = factored
+    assert len(solved) > len(result.points)
+    assert all(f is fit_split.factor for f in solved)
+    assert scored and all(f is val_split.factor for f in scored)
 
 
 def test_k_range_validation():

@@ -1,6 +1,8 @@
-"""The moment screen of candidate selection: gamma tuning and Bair's choice
-of M score only the candidates the moment-form bound cannot rule out, and
-choose exactly what scoring every candidate on the rows chooses."""
+"""Candidate selection from the splits' triangular factors: gamma tuning and
+Bair's choice of M fit every candidate in one stacked solve on the fit
+split's ``Dataset.factor`` and score it exactly from the scoring split's,
+by |X B c - y| = |r B c - Q^T y|, and choose what scoring every candidate
+one at a time that way chooses."""
 
 import functools
 import math
@@ -9,17 +11,17 @@ import numpy as np
 import pytest
 
 import sdr.methods as methods
-import sdr.regression as regression
 import sdr.wrappers as wrappers
 from sdr.data import Dataset, center_dataset, fit_centering
 from sdr.linalg import sym_eig_topk
 from sdr.methods import (DEFAULT_GAMMA_GRID, METHODS, TIE_RTOL, _choose,
-                         fit_sweep, with_model)
-from sdr.regression import moment_mse, mse, ols_fit, select_candidate
+                         fit_sweep)
+from sdr.regression import factor_mse, mse, ols_fit, ols_stack, select_candidate
 from sdr.simulation import SpectrumSpec, TrialSpec, generate_trial
 from sdr.wrappers import fit_bair, score_variables
 
 TUNED = ("pls", "barshan", "lspca")
+EPS = np.finfo(float).eps
 
 
 def _splits(x, y, n_val, unit_scale=False):
@@ -65,51 +67,55 @@ def random_splits(seed, n, p):
     return _splits(x, x[:, :3].sum(axis=1) + 0.1 * rng.standard_normal(n), n // 5)
 
 
+def _factor_score(basis, train, val):
+    """One candidate's model, fitted alone from ``train.factor``, and its
+    exact MSE on ``val`` from ``val.factor``."""
+    coef = ols_fit(basis, train.factor).coefficients
+    return coef, float(factor_mse(basis[None], coef[None], val.factor)[0])
+
+
 def _exhaustive(gammas, reducers, train, val):
-    """The selection rule scoring every gamma on the rows, as before the
-    screen: the lowest finite validation MSE, the earliest gamma among
-    those within TIE_RTOL."""
-    scored = []
-    for gamma, reducer in zip(gammas, reducers):
-        fit = with_model(reducer, train)
-        val_mse = fit.evaluate(val)
-        if math.isfinite(val_mse):
-            scored.append((val_mse, gamma, fit))
-    cutoff = min(s[0] for s in scored) * (1.0 + TIE_RTOL)
-    val_mse, gamma, fit = next(s for s in scored if s[0] <= cutoff)
-    fit.hyperparams.update({"gamma": gamma, "val_mse": val_mse})
-    return fit
+    """The selection rule scoring every gamma one at a time by the factor
+    identity: the lowest finite validation MSE, the earliest gamma among
+    those within TIE_RTOL.  (index, coefficients, validation MSE)."""
+    scored = [(s, i, coef) for i, r in enumerate(reducers)
+              for coef, s in [_factor_score(r.basis, train, val)]
+              if math.isfinite(s)]
+    cutoff = min(s for s, _, _ in scored) * (1.0 + TIE_RTOL)
+    val_mse, i, coef = next(s for s in scored if s[0] <= cutoff)
+    return i, coef, val_mse
 
 
 def _check_choose(name, train, val, gammas, fits):
-    """_choose picks what the exhaustive rule picks at every K that fits."""
+    """_choose picks what the exhaustive rule picks at every K that fits,
+    with the same coefficients and validation MSE bit for bit."""
     checked = 0
     for k, reducers in fits.items():
         if isinstance(reducers, Exception):
             continue
-        want = _exhaustive(gammas, reducers, train, val)
+        i, coef, val_mse = _exhaustive(gammas, reducers, train, val)
         got = _choose(name, gammas, reducers, train, val)
-        assert got.reducer is want.reducer, (name, k)
-        assert got.hyperparams == want.hyperparams, (name, k)
-        assert got.hyperparams["val_mse"].hex() == want.hyperparams["val_mse"].hex()
-        assert np.array_equal(got.model.coefficients, want.model.coefficients)
+        assert got.reducer is reducers[i], (name, k)
+        assert got.hyperparams == {**reducers[i].hyperparams,
+                                   "gamma": gammas[i], "val_mse": val_mse}
+        assert got.hyperparams["val_mse"].hex() == val_mse.hex()
+        assert np.array_equal(got.model.coefficients, coef)
         checked += 1
     assert checked
 
 
 def _brute_bair(data, k):
-    """Bair's choice of M scoring every M on the rows, as before the screen:
-    the lowest training MSE of the model fitted from the split's thin QR,
-    the smaller M on a tie."""
-    x, y = data.X, data.y
+    """Bair's choice of M scoring every M one at a time by the factor
+    identity on the training split: the lowest training MSE, the smaller M
+    on a tie."""
     p = data.p
-    _, order = score_variables(x, y)
+    _, order = score_variables(data.X, data.y)
     best_mse, best_m, best_basis = np.inf, None, None
     for m in range(k, p + 1):
         idx = order[:m]
         basis = np.zeros((p, k))
         basis[idx] = sym_eig_topk(data.moments.xx[np.ix_(idx, idx)], k).vectors
-        candidate_mse = mse(ols_fit(basis, data.factor).predict(x @ basis), y)
+        _, candidate_mse = _factor_score(basis, data, data)
         if candidate_mse < best_mse:
             best_mse, best_m, best_basis = candidate_mse, m, basis
     return best_m, best_mse, best_basis
@@ -138,6 +144,25 @@ def _family_fits(family, name):
     return train, val, gammas, METHODS[name].fit(train, ks, gammas)
 
 
+@functools.lru_cache(maxsize=None)
+def _trial_fits(spectrum, alignment, name):
+    """(train, val, gammas, {15: reducers}) of a P = 100 trial."""
+    train, val = trial_splits(spectrum, alignment, 11)
+    gammas = METHODS[name].tuning_grid(DEFAULT_GAMMA_GRID)
+    return train, val, gammas, METHODS[name].fit(train, [15], gammas)
+
+
+def _bair_stacks(train, monkeypatch):
+    """The (g, P, K) candidate stacks Bair solves at K = 1..min(P, 12)."""
+    stacks = []
+    real = wrappers.ols_stack
+    monkeypatch.setattr(wrappers, "ols_stack",
+                        lambda bases, factor: stacks.append(bases) or real(bases, factor))
+    for k in range(1, min(train.p, 12) + 1):
+        fit_bair(train, k)
+    return stacks
+
+
 class TestChooseMatchesExhaustive:
     @pytest.mark.parametrize("name", TUNED)
     @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -147,11 +172,8 @@ class TestChooseMatchesExhaustive:
     @pytest.mark.parametrize("alignment", ["mis", "well", "partial"])
     @pytest.mark.parametrize("spectrum", ["fast", "slow"])
     def test_p100_trials(self, spectrum, alignment):
-        train, val = trial_splits(spectrum, alignment, 11)
         for name in TUNED:
-            gammas = METHODS[name].tuning_grid(DEFAULT_GAMMA_GRID)
-            _check_choose(name, train, val, gammas,
-                          METHODS[name].fit(train, [15], gammas))
+            _check_choose(name, *_trial_fits(spectrum, alignment, name))
 
 
 class TestBairMatchesBruteForce:
@@ -167,69 +189,99 @@ class TestBairMatchesBruteForce:
 
 
 class TestScreenIsSound:
-    """The bound holds, and no candidate the screen drops lies within the
-    rule's exact cutoff."""
+    """Every candidate is screened by its exact factor score, which agrees
+    with the MSE of the same model computed on the rows.  Both forms round
+    within about eps (|y_s| + |X_s| |B c|)^2 / n_s of the true MSE; over
+    these families the two lie at most 1.5 of that apart, so 100 leaves
+    wide headroom.  On the ill-conditioned families that scale dwarfs the
+    MSE itself, which cancels: there the two forms differ by up to about
+    6e-10 relative."""
 
     @staticmethod
-    def _check(bases, fit, score, exact_all, rtol):
-        exact = np.array(exact_all)
-        m, delta = moment_mse(bases, fit, score)
-        assert np.all(np.abs(m - exact) <= delta)
-        scored = []
-        chosen = select_candidate(bases, fit, score,
-                                  lambda i: scored.append(i) or exact[i], rtol)
-        finite = exact[np.isfinite(exact)]
-        cutoff = finite.min() * (1.0 + rtol)
-        # a bitwise copy of a scored candidate takes its score
-        seen = {bases[i].tobytes() for i in scored}
-        assert len(seen) == len(scored)
-        dropped = [i for i in range(len(exact)) if bases[i].tobytes() not in seen]
-        assert np.all(exact[dropped] > cutoff)
-        assert chosen[0] == np.flatnonzero(exact <= cutoff)[0]
+    def _check(bases, train, val):
+        coefficients = ols_stack(bases, train.factor)
+        scores = factor_mse(bases, coefficients, val.factor)
+        maps = (bases @ coefficients[..., None])[..., 0]
+        rows = np.array([mse(val.X @ w, val.y) for w in maps])
+        scale = (np.linalg.norm(val.y)
+                 + np.linalg.norm(val.X) * np.linalg.norm(maps, axis=1)) ** 2 / val.n
+        assert np.all(np.abs(scores - rows) <= 100 * EPS * scale)
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_gamma_candidates(self, family):
         for name in TUNED:
             train, val, _, fits = _family_fits(family, name)
             for reducers in fits.values():
-                if isinstance(reducers, Exception):
-                    continue
-                exact = [with_model(r, train).evaluate(val) for r in reducers]
-                self._check(np.stack([r.basis for r in reducers]),
-                            train.moments, val.moments, exact, TIE_RTOL)
+                if not isinstance(reducers, Exception):
+                    self._check(np.stack([r.basis for r in reducers]), train, val)
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_bair_candidates(self, family, monkeypatch):
         train, _ = _family(family)
-        stacks = []
-        monkeypatch.setattr(wrappers, "select_candidate",
-                            lambda bases, *args: stacks.append(bases) or (0, 0.0))
-        for k in range(1, min(train.p, 12) + 1):
-            fit_bair(train, k)
-        for bases in stacks:
-            exact = [mse(ols_fit(basis, train.factor).predict(train.X @ basis),
-                         train.y) for basis in bases]
-            self._check(bases, train.moments, train.moments, exact, 0.0)
+        for bases in _bair_stacks(train, monkeypatch):
+            self._check(bases, train, train)
 
 
-def test_wine_shaped_split_fits_few_candidates(monkeypatch):
+class TestFactoredChoiceIsTheRowChoice:
+    """Where the splits are well conditioned, scoring the stacked solve's
+    models on the rows chooses what scoring them from the factor does."""
+
+    @staticmethod
+    def _check(bases, train, val, rtol):
+        coefficients = ols_stack(bases, train.factor)
+        rows = np.array([mse(val.X @ (b @ c), val.y)
+                         for b, c in zip(bases, coefficients)])
+        scores = factor_mse(bases, coefficients, val.factor)
+        assert select_candidate(scores, rtol) == select_candidate(rows, rtol)
+
+    def _check_gammas(self, train, val, fits):
+        for reducers in fits.values():
+            if not isinstance(reducers, Exception):
+                self._check(np.stack([r.basis for r in reducers]), train, val,
+                            TIE_RTOL)
+
+    @pytest.mark.parametrize("family", ["wine-5", "wine-6", "k-equals-p",
+                                        "p-above-n"])
+    def test_families(self, family, monkeypatch):
+        for name in TUNED:
+            train, val, _, fits = _family_fits(family, name)
+            self._check_gammas(train, val, fits)
+        train, _ = _family(family)
+        for bases in _bair_stacks(train, monkeypatch):
+            self._check(bases, train, train, 0.0)
+
+    @pytest.mark.parametrize("alignment", ["mis", "well", "partial"])
+    @pytest.mark.parametrize("spectrum", ["fast", "slow"])
+    def test_p100_trials(self, spectrum, alignment):
+        for name in TUNED:
+            train, val, _, fits = _trial_fits(spectrum, alignment, name)
+            self._check_gammas(train, val, fits)
+
+
+def test_wine_shaped_split_solves_once_per_choice(monkeypatch):
+    """Each (method, K) fits all its gammas in one stacked solve on the fit
+    split's factor; no candidate is fitted or scored on its own."""
     train, val = wine_shaped(5)
-    calls = []
-    real_ols_fit = methods.ols_fit
-    monkeypatch.setattr(methods, "ols_fit",
-                        lambda z, y: calls.append(None) or real_ols_fit(z, y))
+    stacks, fits = [], []
+    real_stack = methods.ols_stack
+    monkeypatch.setattr(methods, "ols_stack", lambda bases, factor: stacks.append(
+        (len(bases), factor)) or real_stack(bases, factor))
+    monkeypatch.setattr(methods, "ols_fit", lambda *args: fits.append(None))
     ks = range(1, train.p + 1)
-    candidates = 0
     for name in TUNED:
-        candidates += len(ks) * len(METHODS[name].tuning_grid(DEFAULT_GAMMA_GRID))
         for fit in fit_sweep(name, train, val, ks).values():
             fit()
-    assert len(calls) <= candidates // 4
+    assert not fits
+    assert [g for g, _ in stacks] == [
+        len(METHODS[name].tuning_grid(DEFAULT_GAMMA_GRID))
+        for name in TUNED for _ in ks]
+    assert all(factor is train.factor for _, factor in stacks)
 
 
 class TestDuplicateCandidates:
     """At K = P every LSPCA gamma returns the same closed-form PCA basis;
-    bitwise-equal candidates are scored on the rows once."""
+    bitwise-equal candidates get bitwise-equal scores from the stacked
+    solve, so the earliest gamma wins."""
 
     @pytest.mark.parametrize("family", ["wine-5", "k-equals-p"])
     def test_one_ols_fit_for_lspca_at_full_k(self, family, monkeypatch):
@@ -237,70 +289,43 @@ class TestDuplicateCandidates:
         gammas = METHODS["lspca"].tuning_grid(DEFAULT_GAMMA_GRID)
         reducers = METHODS["lspca"].fit(train, [train.p], gammas)[train.p]
         assert len({r.basis.tobytes() for r in reducers}) == 1 < len(reducers)
-        want = _exhaustive(gammas, reducers, train, val)
+        i, coef, val_mse = _exhaustive(gammas, reducers, train, val)
         calls = []
-        real_ols_fit = methods.ols_fit
-        monkeypatch.setattr(methods, "ols_fit",
-                            lambda z, y: calls.append(None) or real_ols_fit(z, y))
+        real_stack = methods.ols_stack
+        monkeypatch.setattr(methods, "ols_stack", lambda bases, factor:
+                            calls.append(None) or real_stack(bases, factor))
         got = _choose("lspca", gammas, reducers, train, val)
         assert len(calls) == 1
-        assert got.reducer is want.reducer
-        assert got.hyperparams == want.hyperparams
-        assert got.hyperparams["val_mse"].hex() == want.hyperparams["val_mse"].hex()
-        assert np.array_equal(got.model.coefficients, want.model.coefficients)
+        assert i == 0 and got.reducer is reducers[0]
+        assert got.hyperparams["gamma"] == gammas[0]
+        assert got.hyperparams["val_mse"].hex() == val_mse.hex()
+        assert np.array_equal(got.model.coefficients, coef)
 
-    def test_copies_take_the_first_score(self, monkeypatch):
-        monkeypatch.setattr(regression, "moment_mse",
-                            lambda bases, *args: (np.ones(len(bases)),
-                                                  np.zeros(len(bases))))
-        a, b = np.eye(4)[:, :2], np.eye(4)[:, 1:3]
-        scored = []
-        chosen = select_candidate(np.stack([a, b, a, b.copy()]), None, None,
-                                  lambda i: scored.append(i) or [2.0, 1.0][i], 0.0)
-        assert scored == [0, 1] and chosen == (1, 1.0)
+    def test_copies_take_the_first_score(self):
+        assert select_candidate(np.array([2.0, 1.0, 2.0, 1.0]), 0.0) == 1
 
 
 class TestFallback:
-    def test_non_finite_moment_score_scores_every_candidate(self, monkeypatch):
-        train, val = wine_shaped(5)
-        real = regression.moment_mse
-
-        def nan_first(bases, fit, score):
-            m, delta = real(bases, fit, score)
-            m[0] = math.nan
-            return m, delta
-
-        monkeypatch.setattr(regression, "moment_mse", nan_first)
-        scored = []
-        chosen = select_candidate(np.stack([np.eye(11)[:, j:j + 2] for j in (0, 2, 4)]),
-                                  train.moments,
-                                  val.moments, lambda i: scored.append(i) or 1.0,
-                                  TIE_RTOL)
-        assert scored == [0, 1, 2] and chosen == (0, 1.0)
+    """A candidate whose score is not finite is passed over; the rule runs
+    on the rest."""
 
     def test_singular_basis_scores_every_candidate(self):
+        """X B with a zero column (a constant feature) has a singular
+        least-squares system; its minimum-norm solution still scores."""
         rng = np.random.default_rng(0)
         x = np.column_stack([rng.standard_normal((20, 3)), np.zeros(20)])
         data = Dataset(x, rng.standard_normal(20))
-        bases = np.eye(4)[[0, 3], :, None]  # X e_3 = 0: A is singular
-        _, delta = moment_mse(bases, data.moments, data.moments)
-        assert delta[1] == math.inf
-        scored = []
-        select_candidate(bases, data.moments, data.moments,
-                         lambda i: scored.append(i) or 1.0, 0.0)
-        assert scored == [0, 1]
+        bases = np.eye(4)[[0, 3], :, None]  # X e_3 = 0
+        coefficients = ols_stack(bases, data.factor)
+        assert coefficients[1, 0] == 0.0
+        scores = factor_mse(bases, coefficients, data.factor)
+        assert np.all(np.isfinite(scores))
+        assert scores[1] == pytest.approx(data.moments.yy / data.n, rel=1e-12)
+        assert select_candidate(scores, 0.0) == 0
 
-    def test_no_finite_kept_score_scores_the_rest(self, monkeypatch):
-        monkeypatch.setattr(regression, "moment_mse",
-                            lambda *args: (np.array([1.0, 5.0, 4.0]), np.zeros(3)))
-        scored = []
-        exact = [math.nan, 5.0, 4.0]
-        chosen = select_candidate(np.eye(3)[:, :, None], None, None,
-                                  lambda i: scored.append(i) or exact[i], 0.0)
-        assert scored == [0, 1, 2] and chosen == (2, 4.0)
+    def test_no_finite_kept_score_scores_the_rest(self):
+        assert select_candidate(np.array([math.nan, 5.0, 4.0]), 0.0) == 2
+        assert select_candidate(np.array([math.inf, 4.0, 4.0 + 1e-15]), 1e-10) == 1
 
-    def test_no_finite_score_at_all(self, monkeypatch):
-        monkeypatch.setattr(regression, "moment_mse",
-                            lambda *args: (np.array([1.0, 2.0]), np.zeros(2)))
-        assert select_candidate(np.eye(2)[:, :, None], None, None,
-                                lambda i: math.nan, 0.0) is None
+    def test_no_finite_score_at_all(self):
+        assert select_candidate(np.array([math.nan, math.inf]), 0.0) is None

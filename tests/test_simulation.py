@@ -6,8 +6,9 @@ import pytest
 from sdr.data import Dataset
 from sdr.linalg import orthonormalize
 from sdr.methods import fit_method
-from sdr.simulation import (BenchConfig, SpectrumSpec, SweepConfig, TrialSpec,
-                            _centered_views, gamma_sweep,
+from sdr.simulation import (BenchConfig, BenchReport, MethodSummary,
+                            SettingReport, SpectrumSpec, SweepConfig,
+                            TrialSpec, _centered_views, gamma_sweep,
                             generate_trial, report_to_csv, report_to_json,
                             report_to_table, run_benchmark, sweep_to_csv,
                             trial_seed)
@@ -161,6 +162,26 @@ class TestRunBenchmark:
         assert "spectrum: fast" in table
         assert "well/150" in table and "mis/150" in table
         assert "pca" in table and "ols" in table
+
+    def test_table_cells_never_touch(self):
+        """Each column is as wide as its widest cell or header plus two, and
+        at least 14: a 20-character cell widens its column to 22, a
+        13-character cell to 15, and no two cells touch."""
+        def summary(method, train, test):
+            return MethodSummary(method, train, test, 1, 0)
+
+        settings = [
+            SettingReport("fast", "mis", 150, [summary("pca", 0.27, 5.472),
+                                               summary("pls", 1234.5, 98765.4321)]),
+            SettingReport("fast", "well", 150, [summary("pca", 0.1, 0.2),
+                                                summary("pls", None, None)]),
+        ]
+        assert report_to_table(BenchReport({}, settings)).splitlines() == [
+            "== spectrum: fast (cells: train / test MSE) ==",
+            "method                   mis/150       well/150",
+            "pca                0.270 / 5.472  0.100 / 0.200",
+            "pls         1234.500 / 98765.432         failed",
+        ]
 
     def test_trial_seed_stable(self):
         assert trial_seed(0, 1, 2, 3, 4) == trial_seed(0, 1, 2, 3, 4)
